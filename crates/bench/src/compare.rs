@@ -4,9 +4,11 @@
 //! entry under two different contracts:
 //!
 //! * **Deterministic anchors** (`sim_makespan_secs`, `tasks_completed`,
-//!   `context_switches`) are outputs of a seeded simulation — identical
-//!   on every machine. Any difference is a behavioral regression and
-//!   fails the gate outright.
+//!   `context_switches` for a simulation; `makespan_ns`, `steps` and the
+//!   five blame terms for a critical-path fold) are outputs of a seeded
+//!   run — identical on every machine. Any difference is a behavioral
+//!   regression and fails the gate outright. An anchor an entry does not
+//!   carry is absent on both sides and so never differs.
 //! * **Wall-clock** (`mean_wall_ns`) varies with the host, so it only
 //!   fails when the fresh run is slower than the baseline by more than a
 //!   generous per-entry ratio (default 3×) chosen to ride out CI-runner
@@ -19,7 +21,18 @@
 use minijson::Value;
 
 /// The deterministic per-entry fields that must match exactly.
-const ANCHORS: [&str; 3] = ["sim_makespan_secs", "tasks_completed", "context_switches"];
+const ANCHORS: [&str; 10] = [
+    "sim_makespan_secs",
+    "tasks_completed",
+    "context_switches",
+    "makespan_ns",
+    "steps",
+    "t_ppe_ns",
+    "t_wait_ns",
+    "t_spe_ns",
+    "t_code_ns",
+    "t_comm_ns",
+];
 
 /// Gate thresholds.
 #[derive(Debug, Clone, Copy)]
@@ -94,7 +107,7 @@ impl CompareReport {
             let ratio = e
                 .wall_ratio
                 .map_or_else(|| "    -".to_string(), |r| format!("{r:5.2}x"));
-            out.push_str(&format!("{:<18} wall {ratio}  {}", e.name, e.status));
+            out.push_str(&format!("{:<20} wall {ratio}  {}", e.name, e.status));
             if !e.detail.is_empty() {
                 out.push_str(&format!("  ({})", e.detail));
             }
@@ -266,6 +279,27 @@ mod tests {
         assert_eq!(report.entries[0].status, "anchor-mismatch");
         assert!(report.entries[0].detail.contains("sim_makespan_secs"));
         assert!(report.render().contains("FAIL"));
+    }
+
+    #[test]
+    fn critical_path_anchors_are_gated_too() {
+        let fold = |steps: u64, t_wait: u64| {
+            Value::object(vec![
+                ("name", "critpath/atlas-cell".into()),
+                ("iters", 5u64.into()),
+                ("mean_wall_ns", 1000u64.into()),
+                ("makespan_ns", 900u64.into()),
+                ("steps", steps.into()),
+                ("t_wait_ns", t_wait.into()),
+            ])
+        };
+        let base = doc(vec![fold(531, 40)]);
+        assert!(compare(&base, &doc(vec![fold(531, 40)]), CompareConfig::default()).ok);
+        let report = compare(&base, &doc(vec![fold(530, 41)]), CompareConfig::default());
+        assert!(!report.ok);
+        assert_eq!(report.entries[0].status, "anchor-mismatch");
+        assert!(report.entries[0].detail.contains("steps: 531 -> 530"), "{}", report.render());
+        assert!(report.entries[0].detail.contains("t_wait_ns: 40 -> 41"), "{}", report.render());
     }
 
     #[test]

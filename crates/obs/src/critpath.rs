@@ -29,7 +29,23 @@
 //!
 //! Ties (two candidate predecessors ending at the same instant) break
 //! deterministically toward the higher task id, so the path is a pure
-//! function of the log.
+//! function of the log. A task already on the path is never a candidate
+//! again: zero-length tasks and equal end times could otherwise lead the
+//! walk back to a task it has left.
+//!
+//! ## Cost
+//!
+//! The walk is O(n log n) in completed tasks. After the fold, the task
+//! records are sorted once by `(end, task)` globally and once per process.
+//! A resource predecessor is a binary search for the last end `≤ start`
+//! in the global index followed by a backward scan while `end > offload`;
+//! a spawn predecessor is the same search for the last end `≤ offload` in
+//! the process's index. Each scan stops at the first task not yet
+//! visited (a bitmap), and only tasks tied at the current instant can
+//! already be visited, so a scan is short. Both the tie-break and the
+//! visited rule are pinned by the test oracle: the quadratic
+//! filter-and-max walk this replaced, kept under `#[cfg(test)]` and
+//! property-tested against the indexed walk.
 //!
 //! ## What-if replay
 //!
@@ -43,7 +59,7 @@
 //!
 //! [`RunLog`]: cellsim::event::RunLog
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use cellsim::event::{EventKind, RunLog};
 
@@ -143,14 +159,27 @@ impl CriticalPath {
     pub fn from_log(log: &RunLog) -> CriticalPath {
         let recs = fold_tasks(log);
         let mut cp = CriticalPath::default();
-        let Some(start) = recs.iter().max_by_key(|r| (r.end_ns, r.task)) else {
+        // Record indices by (end, task), globally and grouped by process.
+        // The sorts are stable, so among records with equal keys (one task
+        // id completed twice) a backward scan meets the last record first.
+        let mut by_end: Vec<usize> = (0..recs.len()).collect();
+        by_end.sort_by_key(|&i| (recs[i].end_ns, recs[i].task));
+        let mut by_proc = by_end.clone();
+        by_proc.sort_by_key(|&i| recs[i].proc);
+        // The visited rule is per task id, so every record of one id shares
+        // the flag of the id's first record (records are in id order).
+        let slot: Vec<usize> =
+            recs.iter().map(|r| recs.partition_point(|q| q.task < r.task)).collect();
+        let mut visited = vec![false; recs.len()];
+
+        let Some(&last) = by_end.last() else {
             return cp;
         };
-        cp.makespan_ns = start.end_ns;
-        let mut cur = start;
-        let mut visited: HashSet<u64> = HashSet::new();
+        cp.makespan_ns = recs[last].end_ns;
+        let mut at = last;
         loop {
-            visited.insert(cur.task);
+            let cur = &recs[at];
+            visited[slot[at]] = true;
             let exec = cur.end_ns - cur.start_ns;
             let code = cur.t_code_ns.min(exec);
             let comm = cur.t_comm_ns.min(exec - code);
@@ -165,33 +194,26 @@ impl CriticalPath {
             });
             // 1. Resource predecessor: a task still running after our
             //    off-load, whose completion let us start.
-            if let Some(p) = recs
+            let hi = by_end.partition_point(|&i| recs[i].end_ns <= cur.start_ns);
+            if let Some(&p) = by_end[..hi]
                 .iter()
-                .filter(|t| {
-                    !visited.contains(&t.task)
-                        && t.end_ns <= cur.start_ns
-                        && t.end_ns > cur.offload_ns
-                })
-                .max_by_key(|t| (t.end_ns, t.task))
+                .rev()
+                .take_while(|&&i| recs[i].end_ns > cur.offload_ns)
+                .find(|&&i| !visited[slot[i]])
             {
-                cp.blame.t_wait_ns += cur.start_ns - p.end_ns;
-                cur = p;
+                cp.blame.t_wait_ns += cur.start_ns - recs[p].end_ns;
+                at = p;
                 continue;
             }
             cp.blame.t_wait_ns += cur.start_ns - cur.offload_ns;
             // 2. Spawn predecessor: our process's previous task, whose end
             //    started the PPE section that led to our off-load.
-            if let Some(q) = recs
-                .iter()
-                .filter(|t| {
-                    !visited.contains(&t.task)
-                        && t.proc == cur.proc
-                        && t.end_ns <= cur.offload_ns
-                })
-                .max_by_key(|t| (t.end_ns, t.task))
-            {
-                cp.blame.t_ppe_ns += cur.offload_ns - q.end_ns;
-                cur = q;
+            let lo = by_proc.partition_point(|&i| recs[i].proc < cur.proc);
+            let hi = by_proc
+                .partition_point(|&i| (recs[i].proc, recs[i].end_ns) <= (cur.proc, cur.offload_ns));
+            if let Some(&q) = by_proc[lo..hi].iter().rev().find(|&&i| !visited[slot[i]]) {
+                cp.blame.t_ppe_ns += cur.offload_ns - recs[q].end_ns;
+                at = q;
                 continue;
             }
             // 3. Run start.
@@ -416,10 +438,82 @@ fn fold_tasks(log: &RunLog) -> Vec<TaskRec> {
     done
 }
 
+/// The quadratic walk [`CriticalPath::from_log`] replaced: every step
+/// rescans all task records with filter-and-max, and a hash set holds the
+/// visited task ids. It is the reference that pins the indexed walk's
+/// tie-break and visited rules.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::collections::HashSet;
+
+    use cellsim::event::RunLog;
+
+    use super::{fold_tasks, CritStep, CriticalPath};
+
+    /// The critical path of `log`, walked by rescanning every record.
+    pub fn walk(log: &RunLog) -> CriticalPath {
+        let recs = fold_tasks(log);
+        let mut cp = CriticalPath::default();
+        let Some(start) = recs.iter().max_by_key(|r| (r.end_ns, r.task)) else {
+            return cp;
+        };
+        cp.makespan_ns = start.end_ns;
+        let mut cur = start;
+        let mut visited: HashSet<u64> = HashSet::new();
+        loop {
+            visited.insert(cur.task);
+            let exec = cur.end_ns - cur.start_ns;
+            let code = cur.t_code_ns.min(exec);
+            let comm = cur.t_comm_ns.min(exec - code);
+            cp.blame.t_code_ns += code;
+            cp.blame.t_comm_ns += comm;
+            cp.blame.t_spe_ns += exec - code - comm;
+            cp.steps.push(CritStep {
+                task: cur.task,
+                proc: cur.proc,
+                start_ns: cur.start_ns,
+                end_ns: cur.end_ns,
+            });
+            if let Some(p) = recs
+                .iter()
+                .filter(|t| {
+                    !visited.contains(&t.task)
+                        && t.end_ns <= cur.start_ns
+                        && t.end_ns > cur.offload_ns
+                })
+                .max_by_key(|t| (t.end_ns, t.task))
+            {
+                cp.blame.t_wait_ns += cur.start_ns - p.end_ns;
+                cur = p;
+                continue;
+            }
+            cp.blame.t_wait_ns += cur.start_ns - cur.offload_ns;
+            if let Some(q) = recs
+                .iter()
+                .filter(|t| {
+                    !visited.contains(&t.task)
+                        && t.proc == cur.proc
+                        && t.end_ns <= cur.offload_ns
+                })
+                .max_by_key(|t| (t.end_ns, t.task))
+            {
+                cp.blame.t_ppe_ns += cur.offload_ns - q.end_ns;
+                cur = q;
+                continue;
+            }
+            cp.blame.t_ppe_ns += cur.offload_ns;
+            break;
+        }
+        cp.steps.reverse();
+        cp
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cellsim::event::{EventRecord, SchedulerTag};
+    use proptest::prelude::*;
 
     fn log_with(events: Vec<(u64, EventKind)>) -> RunLog {
         RunLog {
@@ -491,6 +585,100 @@ mod tests {
         assert_eq!(cp.blame.t_wait_ns, 0);
         assert_eq!(cp.blame.total(), cp.makespan_ns);
         assert_eq!(cp.dominant(), Phase::Spe);
+    }
+
+    /// One generated task: `(proc, offload instant, grant wait, exec
+    /// time)`, `(team lead, extra team members, code stall, DMA latency)`,
+    /// `(Offload event recorded, reuses the previous task id)`.
+    type TaskSpec = ((usize, u64, u64, u64), (usize, usize, u64, u64), (bool, bool));
+
+    /// Instants come from a narrow range so equal timestamps, zero waits
+    /// and zero-length tasks are common; ids are occasionally reused.
+    fn task_spec() -> impl Strategy<Value = TaskSpec> {
+        (
+            (0usize..4, 0u64..24, 0u64..4, 0u64..6),
+            (0usize..8, 0usize..3, 0u64..3, 0u64..4),
+            (prop::bool::weighted(0.8), prop::bool::weighted(0.05)),
+        )
+    }
+
+    /// Lay the specs out as a time-ordered log over `n_procs` processes
+    /// and `n_spes` SPEs.
+    fn spec_log(n_procs: usize, n_spes: usize, specs: &[TaskSpec]) -> RunLog {
+        let mut events = Vec::new();
+        for (i, &((proc, offload, wait, exec), (lead, extra, stall, dma), (offloaded, reuse))) in
+            specs.iter().enumerate()
+        {
+            let proc = proc % n_procs;
+            let task = if reuse { i.saturating_sub(1) as u64 } else { i as u64 };
+            let team: Vec<usize> =
+                (0..=extra.min(n_spes - 1)).map(|k| (lead + k) % n_spes).collect();
+            let (start, end) = (offload + wait, offload + wait + exec);
+            if offloaded {
+                events.push((offload, EventKind::Offload { proc, task }));
+            }
+            if stall > 0 {
+                events.push((start, EventKind::CodeReload { spe: team[0], stall_ns: stall }));
+            }
+            let degree = team.len();
+            events.push((start, EventKind::TaskStart { proc, task, degree, team: team.clone() }));
+            if dma > 0 {
+                let spe = team[team.len() - 1];
+                let at = start + exec / 2;
+                events.push((at, EventKind::DmaComplete { spe, bytes: 128, latency_ns: dma }));
+            }
+            events.push((end, EventKind::TaskEnd { proc, task, team }));
+        }
+        events.sort_by_key(|&(at, _)| at);
+        let mut log = log_with(events);
+        log.n_spes = n_spes;
+        log
+    }
+
+    proptest! {
+        /// The indexed walk and the quadratic oracle agree on the whole
+        /// path: steps, blame, and makespan.
+        #[test]
+        fn indexed_walk_matches_the_quadratic_oracle(
+            n_procs in 1usize..=4,
+            n_spes in 1usize..=8,
+            specs in prop::collection::vec(task_spec(), 0..48),
+        ) {
+            let log = spec_log(n_procs, n_spes, &specs);
+            let cp = CriticalPath::from_log(&log);
+            prop_assert_eq!(&cp, &oracle::walk(&log));
+            prop_assert_eq!(cp.blame.total(), cp.makespan_ns);
+        }
+    }
+
+    /// Four candidates end at 50 ns, two of them zero-length tasks that
+    /// waited from 40 ns: the walk takes the highest id first, and a
+    /// zero-length task, whose own end lies in its blocking window, is
+    /// never chosen as its own predecessor.
+    #[test]
+    fn ties_break_toward_the_higher_id_and_never_revisit() {
+        let log = log_with(vec![
+            (0, EventKind::Offload { proc: 0, task: 0 }),
+            (0, EventKind::TaskStart { proc: 0, task: 0, degree: 1, team: vec![0] }),
+            (0, EventKind::Offload { proc: 1, task: 1 }),
+            (0, EventKind::TaskStart { proc: 1, task: 1, degree: 1, team: vec![1] }),
+            (10, EventKind::Offload { proc: 2, task: 4 }),
+            (40, EventKind::Offload { proc: 0, task: 2 }),
+            (40, EventKind::Offload { proc: 1, task: 3 }),
+            (50, EventKind::TaskEnd { proc: 0, task: 0, team: vec![0] }),
+            (50, EventKind::TaskEnd { proc: 1, task: 1, team: vec![1] }),
+            (50, EventKind::TaskStart { proc: 0, task: 2, degree: 1, team: vec![0] }),
+            (50, EventKind::TaskEnd { proc: 0, task: 2, team: vec![0] }),
+            (50, EventKind::TaskStart { proc: 1, task: 3, degree: 1, team: vec![1] }),
+            (50, EventKind::TaskEnd { proc: 1, task: 3, team: vec![1] }),
+            (50, EventKind::TaskStart { proc: 2, task: 4, degree: 1, team: vec![0] }),
+            (80, EventKind::TaskEnd { proc: 2, task: 4, team: vec![0] }),
+        ]);
+        let cp = CriticalPath::from_log(&log);
+        assert_eq!(cp, oracle::walk(&log));
+        assert_eq!(cp.steps.iter().map(|s| s.task).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
+        assert_eq!(cp.blame.t_spe_ns, 80);
+        assert_eq!(cp.blame.total(), cp.makespan_ns);
     }
 
     #[test]

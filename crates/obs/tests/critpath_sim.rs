@@ -1,15 +1,23 @@
 //! Simulator-validated properties of the critical-path engine.
 //!
-//! Three claims are checked against real seeded runs rather than
+//! Four claims are checked against real seeded runs rather than
 //! hand-built logs: the blame partition is exact (and pinned, golden-style,
-//! for one run), the identity what-if replay reproduces the recorded
-//! makespan, and the "+1 SPE" prediction agrees with *actually re-running
-//! the simulator* on a 9-SPE machine.
+//! for one run), the indexed walk agrees with the quadratic test oracle,
+//! the identity what-if replay reproduces the recorded makespan, and the
+//! "+1 SPE" prediction agrees with *actually re-running the simulator* on
+//! a 9-SPE machine.
 
 use cellsim::event::RunLog;
 use cellsim::machine::{run, SimConfig};
 use mgps_obs::{what_if, CriticalPath, Phase, WhatIf};
+use mgps_runtime::faults::FaultPlan;
 use mgps_runtime::policy::SchedulerKind;
+
+/// The walk's source compiled into this test crate, for its
+/// `#[cfg(test)]` oracle (the library itself is linked without it).
+#[allow(dead_code)]
+#[path = "../src/critpath.rs"]
+mod walk_src;
 
 fn recorded(mut cfg: SimConfig) -> RunLog {
     cfg.record_events = true;
@@ -112,4 +120,45 @@ fn plus_one_spe_prediction_matches_a_real_resimulation() {
     // reload patterns shift), which is exactly the noise the tolerance
     // above absorbs.
     assert_eq!(predicted.predicted_makespan_ns, predicted.baseline_makespan_ns);
+}
+
+/// The library's indexed walk and the quadratic oracle must produce the
+/// same path, step for step, with the same blame.
+fn assert_matches_oracle(label: &str, log: &RunLog) {
+    let fast = CriticalPath::from_log(log);
+    let slow = walk_src::oracle::walk(log);
+    assert!(!fast.steps.is_empty(), "{label}: the run must complete tasks");
+    // The oracle returns the included copy of the type, so the two paths
+    // are compared through their `Debug` form.
+    assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{label}: indexed walk diverged");
+}
+
+#[test]
+fn indexed_walk_matches_the_oracle_on_every_scheduler() {
+    for kind in [
+        SchedulerKind::Edtlp,
+        SchedulerKind::LinuxLike,
+        SchedulerKind::StaticHybrid { spes_per_loop: 2 },
+        SchedulerKind::StaticHybrid { spes_per_loop: 4 },
+        SchedulerKind::Mgps,
+    ] {
+        let mut cfg = SimConfig::cell_42sc(kind, 4, 800);
+        cfg.seed = 0xc0de;
+        assert_matches_oracle(&format!("{kind:?}"), &recorded(cfg));
+    }
+}
+
+/// The faulted fixture of `byte_stability.rs`: MGPS under a
+/// permanent-breakage plan, in full and cut in half so some off-loaded
+/// tasks never complete.
+#[test]
+fn indexed_walk_matches_the_oracle_on_a_faulted_log() {
+    let mut cfg = SimConfig::cell_42sc(SchedulerKind::Mgps, 6, 400);
+    cfg.seed = 0xb17e;
+    cfg.faults = FaultPlan::parse("seed=2,broken=6,k=1,retries=0,readmit=1000000")
+        .expect("fault spec parses");
+    let mut log = recorded(cfg);
+    assert_matches_oracle("faulted", &log);
+    log.events.truncate(log.events.len() / 2);
+    assert_matches_oracle("faulted, truncated", &log);
 }
