@@ -1,13 +1,12 @@
 //! Deterministic-replay digests.
 //!
-//! The simulator promises bit-determinism: the same [`SimConfig`] seed must
-//! produce the same schedule. [`trace_digest`] collapses a [`RunLog`] into
-//! one 64-bit FNV-1a hash of its canonical JSON serialization, so two runs
-//! can be compared (and archived) without diffing megabytes of events.
-//!
-//! [`SimConfig`]: cellsim::machine::SimConfig
+//! The simulator promises bit-determinism: the same `cellsim` `SimConfig`
+//! seed must produce the same schedule. [`trace_digest`] collapses a
+//! [`RunLog`] into one 64-bit FNV-1a hash of its canonical JSON
+//! serialization, so two runs can be compared (and archived) without
+//! diffing megabytes of events.
 
-use cellsim::event::RunLog;
+use mgps_runtime::event::RunLog;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -48,7 +47,7 @@ mod tests {
     #[test]
     fn digest_is_stable_for_equal_logs() {
         let log = RunLog {
-            scheduler: cellsim::event::SchedulerTag::Edtlp,
+            scheduler: mgps_runtime::event::SchedulerTag::Edtlp,
             n_spes: 8,
             quantum_ns: 1,
             seed: 7,

@@ -2,9 +2,9 @@
 //! seeded corruptions must each trip exactly the invariant they break,
 //! and replay must be digest-deterministic in the seed.
 
-use cellsim::event::{EventKind, EventRecord, RunLog, SchedulerTag, SwitchReason};
 use cellsim::machine::{run, SimConfig};
 use mgps_analysis::{check_run, trace_digest};
+use mgps_runtime::event::{EventKind, EventRecord, RunLog, SchedulerTag, SwitchReason};
 use mgps_runtime::faults::FaultPlan;
 use mgps_runtime::policy::SchedulerKind;
 
@@ -207,6 +207,7 @@ fn degree_decision_outside_mgps_is_flagged() {
         at_ns: 95,
         kind: EventKind::DegreeDecision {
             degree: 2,
+            u: None,
             waiting: 1,
             n_spes: 8,
             window: 8,

@@ -13,9 +13,9 @@
 //! Inputs are seeded and fixed-size so the numbers are comparable
 //! across runs of `cargo bench -p bench --bench job_obs_anchors`.
 
-use cellsim::event::{EventKind, EventRecord, RunLog, SchedulerTag};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mgps_obs::{fold_jobs, quantile_from_log2_buckets, JOB_QUANTILES};
+use mgps_runtime::event::{EventKind, EventRecord, RunLog, SchedulerTag};
 use mgps_runtime::metrics::{hist_bucket, HIST_BUCKETS};
 
 /// The repo's splitmix-flavored stream, for seeded synthetic inputs.

@@ -31,7 +31,6 @@
 
 pub mod dma;
 pub mod eib;
-pub mod event;
 pub mod machine;
 pub mod mailbox;
 pub mod mfc;
@@ -39,7 +38,6 @@ pub mod params;
 pub mod spe;
 pub mod workload;
 
-pub use event::{EventKind, EventRecord, MailboxKind, RunLog, SchedulerTag, SwitchReason};
 pub use machine::{run, RunReport, SchedOverheads, SimConfig};
 pub use params::{CellParams, DmaParams};
 pub use workload::{KernelProfile, RaxmlWorkload};

@@ -23,6 +23,7 @@
 use std::collections::VecDeque;
 
 use des::prelude::*;
+use mgps_runtime::event::{EventKind, EventRecord, MailboxKind, RunLog, SchedulerTag, SwitchReason};
 use mgps_runtime::faults::FaultPlan;
 use mgps_runtime::policy::{
     partition, Directive, MgpsConfig, MgpsScheduler, PpePolicyKind, PpeScheduler, ProcId,
@@ -33,7 +34,6 @@ use rand::SeedableRng;
 
 use crate::dma::DmaList;
 use crate::eib::Eib;
-use crate::event::{EventKind, EventRecord, MailboxKind, RunLog, SchedulerTag, SwitchReason};
 use crate::mailbox::SpuMailboxes;
 use crate::params::CellParams;
 use crate::spe::SpeState;
@@ -1129,6 +1129,8 @@ fn mgps_departure(m: &mut CellMachine, p: usize, now_ns: u64) {
             now_ns,
             EventKind::DegreeDecision {
                 degree: new_degree,
+                // Replayable from the off-load history, so not recorded.
+                u: None,
                 waiting,
                 n_spes,
                 window,

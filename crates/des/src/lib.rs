@@ -6,10 +6,7 @@
 //! * [`time`] — integer-nanosecond simulated clock types;
 //! * [`sim`] — the event loop: a future-event list with FIFO tie-breaking,
 //!   cancellation, and bounded-horizon runs;
-//! * [`resource`] — counted resources and wait queues with explicit,
-//!   borrow-checker-friendly waiter hand-off;
-//! * [`stats`] — time-weighted averages, busy/utilization trackers, online
-//!   moments and histograms;
+//! * [`stats`] — busy/utilization trackers;
 //! * [`trace`] — bounded execution traces used for debugging and for
 //!   bit-determinism tests.
 //!
@@ -31,8 +28,6 @@
 
 #![warn(missing_docs)]
 
-pub mod calendar;
-pub mod resource;
 pub mod sim;
 pub mod stats;
 pub mod time;
@@ -40,10 +35,8 @@ pub mod trace;
 
 /// Convenient glob import for model code.
 pub mod prelude {
-    pub use crate::calendar::CalendarQueue;
-    pub use crate::resource::{Resource, WaitQueue};
     pub use crate::sim::{EventFn, EventId, Sim};
-    pub use crate::stats::{BusyTracker, Histogram, OnlineStats, TimeWeighted};
+    pub use crate::stats::BusyTracker;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::{Trace, TraceRecord};
 }

@@ -12,13 +12,13 @@
 //! Each clean cell's blame partition is asserted to sum exactly to its
 //! critical-path makespan before it enters the atlas.
 
-use cellsim::event::EventKind;
 use cellsim::machine::SimConfig;
 use des::time::SimDuration;
 use mgps_obs::atlas::{
     Atlas, CellMetrics, CellRecord, GridSpec, MgpsInputs, PointCoords, VerdictCounts,
 };
 use mgps_obs::CriticalPath;
+use mgps_runtime::event::EventKind;
 use mgps_runtime::faults::FaultPlan;
 use mgps_runtime::policy::SchedulerKind;
 

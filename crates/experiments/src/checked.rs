@@ -2,8 +2,8 @@
 //!
 //! Every table/figure regeneration in this crate funnels its `cellsim`
 //! runs through [`checked_run`], which forces structured event recording,
-//! hands the resulting [`cellsim::RunLog`] to `mgps-analysis`, and
-//! accumulates the verdicts in a process-wide tally. Violations are
+//! hands the resulting [`mgps_runtime::event::RunLog`] to `mgps-analysis`,
+//! and accumulates the verdicts in a process-wide tally. Violations are
 //! reported on stderr as they are found; `multigrain analyze` (and the
 //! `all` bin) read the tally afterwards with [`tally`] / [`assert_clean`].
 

@@ -2,23 +2,29 @@
 //! all four surfaces of the observability pipeline.
 //!
 //! The vocabulary is parsed from the `EventKind` enum in
-//! `crates/cellsim/src/event.rs`. For each variant the analysis then
-//! requires a non-test `EventKind::<Variant>` reference in each surface:
+//! `crates/mgps-runtime/src/event.rs`, which both engines record. For each
+//! variant the analysis then requires a non-test `EventKind::<Variant>`
+//! reference in each surface:
 //!
 //! | column   | surface                                              |
 //! |----------|------------------------------------------------------|
-//! | sim      | `crates/cellsim/src` (minus `event.rs` itself) plus  |
-//! |          | `crates/obs/src/live.rs` — the health detector is    |
-//! |          | the designated emitter of `Health` on both engines   |
-//! | native   | `crates/obs/src/native.rs` (the trace mapping) plus  |
-//! |          | `src/serve.rs` and `crates/obs/src/live.rs` (the     |
-//! |          | live plane that embeds `Health` on native runs)      |
+//! | sim      | `crates/cellsim/src` plus `crates/obs/src/live.rs` — |
+//! |          | the health detector is the designated emitter of     |
+//! |          | `Health` on both engines                             |
+//! | native   | `crates/mgps-runtime/src/native` (the ring writers)  |
+//! |          | plus `src/serve.rs` (job events) and                 |
+//! |          | `crates/obs/src/live.rs` (`Health` on native runs)   |
 //! | checker  | `crates/analysis/src`                                |
 //! | obs      | `crates/obs/src` minus `native.rs` (folds/exports)   |
 //!
+//! `crates/obs/src/native.rs` is in no column: its merge-order rank names
+//! every variant and would fill any column on its own.
+//!
 //! A hole means an event class that can be recorded but silently bypasses
 //! part of the pipeline — exactly how a new variant added for a future
-//! roadmap item would otherwise dodge the checker.
+//! roadmap item would otherwise dodge the checker. A vocabulary that
+//! parses to no variants (the file moved, or lost its `EventKind`) is a
+//! finding too: an empty matrix has no holes to report.
 
 use crate::lexer::find_seq;
 use crate::{Finding, SourceFile};
@@ -153,6 +159,18 @@ pub fn analyze(
 ) -> (CoverageMatrix, Vec<Finding>) {
     let mut matrix = CoverageMatrix::default();
     let mut findings = Vec::new();
+    if variants.is_empty() {
+        findings.push(Finding {
+            rule: "event-coverage".into(),
+            file: event_file_rel.to_string(),
+            line: 0,
+            col: 0,
+            excerpt: String::new(),
+            why: why.to_string(),
+            note: "no EventKind variants found: the vocabulary file is missing or declares none"
+                .into(),
+        });
+    }
     for v in variants {
         let counts = [
             count_refs(v, &surfaces[0]),
@@ -247,6 +265,16 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert!(findings[0].note.contains("EventKind::B"));
         assert!(findings[0].note.contains("native"));
+    }
+
+    #[test]
+    fn an_empty_vocabulary_is_a_finding() {
+        let ev = file("event.rs", "pub struct NotAnEnum;\n");
+        let surfaces: [Vec<&SourceFile>; 4] = [vec![], vec![], vec![], vec![]];
+        let (matrix, findings) = analyze(&parse_variants(&ev), &surfaces, "why", "event.rs");
+        assert_eq!(matrix.hole_count(), 0);
+        assert_eq!(findings.len(), 1);
+        assert!(findings[0].note.contains("no EventKind variants"));
     }
 
     #[test]

@@ -405,7 +405,21 @@ pub fn audit(root: &Path) -> Report {
     for m in CATALOG {
         let mut files = Vec::new();
         for r in m.roots {
-            for rel in cache.files_under(r) {
+            let under = cache.files_under(r);
+            // A root that matches nothing is a moved or deleted path: the
+            // rule would silently stop covering it.
+            if under.is_empty() {
+                raw.push(Finding {
+                    rule: m.name.to_string(),
+                    file: (*r).to_string(),
+                    line: 0,
+                    col: 0,
+                    excerpt: String::new(),
+                    why: m.why.to_string(),
+                    note: format!("rule root `{r}` matches no .rs file"),
+                });
+            }
+            for rel in under {
                 if !files.contains(&rel) {
                     files.push(rel);
                 }
@@ -449,33 +463,32 @@ pub fn audit(root: &Path) -> Report {
 
     // Event-vocabulary coverage.
     let cov_meta = rules::meta("event-coverage").expect("catalog has event-coverage");
-    let event_rel = "crates/cellsim/src/event.rs";
+    let event_rel = "crates/mgps-runtime/src/event.rs";
     cache.load(event_rel);
     let variants =
         cache.get(event_rel).map(coverage::parse_variants).unwrap_or_default();
+    // `obs/src/native.rs` stays out of every column: its merge-order
+    // `kind_rank` names every variant and would fill any column alone.
     let surface_files: [Vec<String>; 4] = [
         // sim emit: the machine, plus the health detector (the designated
         // Health emitter on both engines).
         {
-            let mut v: Vec<String> = cache
-                .files_under("crates/cellsim/src")
-                .into_iter()
-                .filter(|r| r != event_rel)
-                .collect();
+            let mut v = cache.files_under("crates/cellsim/src");
             v.push("crates/obs/src/live.rs".into());
             v
         },
-        // native emit: the trace→RunLog mapping, the serve plane, and the
-        // health detector (serve's `merge_health_events` embeds the
-        // detector's `Health` records into native RunLogs).
-        vec![
-            "crates/obs/src/native.rs".into(),
-            "src/serve.rs".into(),
-            "crates/obs/src/live.rs".into(),
-        ],
+        // native emit: the runtime's ring writers, the serve plane's job
+        // events, and the health detector (serve's `merge_health_events`
+        // embeds its `Health` records into native RunLogs).
+        {
+            let mut v = cache.files_under("crates/mgps-runtime/src/native");
+            v.push("src/serve.rs".into());
+            v.push("crates/obs/src/live.rs".into());
+            v
+        },
         // checker arms.
         cache.files_under("crates/analysis/src"),
-        // obs folds/exports (everything but the native mapping).
+        // obs folds/exports.
         cache
             .files_under("crates/obs/src")
             .into_iter()
@@ -594,14 +607,17 @@ pub fn audit(root: &Path) -> Report {
 mod tests {
     use super::*;
 
-    fn synth(tree: &[(&str, &str)]) -> PathBuf {
+    include!("../fixtures/base_tree.rs");
+
+    /// Write `tree` into a fresh temp dir, on top of `base`.
+    fn write_tree(base: &[(&str, &str)], tree: &[(&str, &str)]) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "mgps-lint-{}-{:p}",
             std::process::id(),
             tree.as_ptr()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        for (rel, src) in tree {
+        for (rel, src) in base.iter().chain(tree) {
             let p = dir.join(rel);
             std::fs::create_dir_all(p.parent().unwrap()).unwrap();
             std::fs::write(p, src).unwrap();
@@ -609,13 +625,44 @@ mod tests {
         dir
     }
 
+    /// `tree` planted on the clean [`BASE_TREE`].
+    fn synth(tree: &[(&str, &str)]) -> PathBuf {
+        write_tree(BASE_TREE, tree)
+    }
+
     #[test]
-    fn clean_synthetic_tree_only_reports_coverage_holes_it_has() {
-        let dir = synth(&[("crates/des/src/lib.rs", "pub fn f() {}\n")]);
+    fn bare_synthetic_tree_reports_its_missing_vocabulary_and_roots() {
+        let dir = write_tree(&[], &[("crates/des/src/lib.rs", "pub fn f() {}\n")]);
         let report = audit(&dir);
-        // No event.rs → no variants → no coverage holes; no findings.
         std::fs::remove_dir_all(&dir).ok();
+        // No event.rs → no variants: an empty matrix is a finding, not a
+        // vacuously clean audit.
+        assert!(report.coverage.rows.is_empty());
+        assert!(
+            report.findings.iter().any(|f| f.rule == "event-coverage"
+                && f.note.contains("no EventKind variants")),
+            "{:?}",
+            report.findings
+        );
+        // And every root the tree lacks is named.
+        assert!(report
+            .findings
+            .iter()
+            .any(|f| f.rule == "unordered-iter" && f.file == "crates/mgps-runtime/src/event.rs"));
+    }
+
+    #[test]
+    fn base_tree_is_clean_and_a_root_matching_no_file_is_a_finding() {
+        let dir = synth(&[]);
+        let report = audit(&dir);
         assert!(report.clean(), "{:?}", report.findings);
+        std::fs::remove_file(dir.join("xtask/src/main.rs")).unwrap();
+        let report = audit(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        let f = &report.findings[0];
+        assert_eq!((f.rule.as_str(), f.file.as_str()), ("rng-discipline", "xtask"));
+        assert!(f.note.contains("matches no .rs file"), "{}", f.note);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub const CATALOG: &[RuleMeta] = &[
         roots: &[
             "crates/analysis/src",
             "crates/obs/src",
-            "crates/cellsim/src/event.rs",
+            "crates/mgps-runtime/src/event.rs",
             "src/serve.rs",
         ],
         why: "HashMap/HashSet iteration order is randomized; digest, checker, and obs-export \
@@ -71,7 +71,7 @@ pub const CATALOG: &[RuleMeta] = &[
     },
     RuleMeta {
         name: "rng-discipline",
-        roots: &["crates", "src", "tests", "benches", "examples", "xtask"],
+        roots: &["crates", "src", "tests", "examples", "xtask"],
         why: "entropy-seeded RNGs (thread_rng/from_entropy) make runs irreproducible; \
               every RNG must be constructed from an explicit seed",
         exemption_budget: 0,
@@ -87,7 +87,7 @@ pub const CATALOG: &[RuleMeta] = &[
     },
     RuleMeta {
         name: "event-coverage",
-        roots: &["crates/cellsim/src/event.rs"],
+        roots: &["crates/mgps-runtime/src/event.rs"],
         why: "every EventKind variant must be emitted by the sim machine and the native \
               tracing path, matched by a checker arm, and consumed by an obs fold — a hole \
               means an event class the audit pipeline silently ignores",

@@ -14,10 +14,18 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
 }
 
-/// Materialize `(repo-relative path, fixture file)` pairs as a temp tree.
+include!("../fixtures/base_tree.rs");
+
+/// Materialize `(repo-relative path, fixture file)` pairs as a temp tree,
+/// planted on the clean [`BASE_TREE`].
 fn plant(tag: &str, tree: &[(&str, &str)]) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mgps-lint-fixture-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    for (rel, src) in BASE_TREE {
+        let p = dir.join(rel);
+        std::fs::create_dir_all(p.parent().unwrap()).unwrap();
+        std::fs::write(&p, src).unwrap();
+    }
     for (rel, fix) in tree {
         let p = dir.join(rel);
         std::fs::create_dir_all(p.parent().unwrap()).unwrap();
@@ -34,7 +42,7 @@ const CORPUS: &[(&str, &str, &str)] = &[
     ("unordered-iter", "crates/analysis/src/checker.rs", "unordered_iter.rs"),
     ("rng-discipline", "src/sim.rs", "rng_discipline.rs"),
     ("lock-order", "crates/mgps-runtime/src/state.rs", "lock_order_cycle.rs"),
-    ("event-coverage", "crates/cellsim/src/event.rs", "event_coverage.rs"),
+    ("event-coverage", "crates/mgps-runtime/src/event.rs", "event_coverage.rs"),
     ("panic-path", "src/serve.rs", "panic_path.rs"),
 ];
 
@@ -63,7 +71,7 @@ fn the_clean_fixture_passes_every_rule() {
     let dir = plant("clean", &[("crates/mgps-runtime/src/clean.rs", "clean.rs")]);
     let report = audit(&dir);
     assert!(report.clean(), "clean fixture tripped: {:?}", report.findings);
-    assert_eq!(report.files_scanned, 1);
+    assert_eq!(report.files_scanned, BASE_TREE.len() + 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -105,7 +113,7 @@ fn the_json_report_keeps_its_schema() {
         "schema",
         &[
             ("crates/cellsim/src/machine.rs", "wall_clock.rs"),
-            ("crates/cellsim/src/event.rs", "event_coverage.rs"),
+            ("crates/mgps-runtime/src/event.rs", "event_coverage.rs"),
             ("crates/mgps-runtime/src/state.rs", "lock_order_cycle.rs"),
         ],
     );

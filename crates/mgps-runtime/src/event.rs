@@ -1,13 +1,15 @@
-//! Structured execution-event records for post-hoc invariant checking.
+//! The event vocabulary both engines record, and its JSON form.
 //!
-//! When [`crate::machine::SimConfig::record_events`] is set, the machine
-//! model appends one [`EventRecord`] per semantically meaningful action —
+//! The simulator (`cellsim`, when `SimConfig::record_events` is set)
+//! appends one [`EventRecord`] per semantically meaningful action —
 //! off-loads, context switches, task starts/ends, DMA issues, mailbox
 //! operations, local-store accounting, loop chunk dispatch, and MGPS
-//! degree decisions — into a [`RunLog`]. The log is what `mgps-analysis`
-//! statically verifies; it serializes to JSON (via `minijson`) so runs can
-//! be archived and diffed, and its serialized form is the input to the
-//! deterministic-replay digest.
+//! degree decisions — into a [`RunLog`]. The native engine records the
+//! same [`EventKind`]s into its trace rings ([`crate::tracing`]), and
+//! `mgps-obs` merges those rings into a [`RunLog`] of the same shape. The
+//! log is what `mgps-analysis` statically verifies; it serializes to JSON
+//! (via `minijson`) so runs can be archived and diffed, and its
+//! serialized form is the input to the deterministic-replay digest.
 
 use minijson::Value;
 
@@ -75,8 +77,8 @@ impl MailboxKind {
     }
 }
 
-/// One recorded action of the machine model.
-#[derive(Debug, Clone, PartialEq)]
+/// One recorded action of either engine.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// Process `proc` requested an off-load of `task`.
     Offload {
@@ -196,6 +198,13 @@ pub enum EventKind {
     DegreeDecision {
         /// The new loop degree (1 = LLP off).
         degree: usize,
+        /// The utilization sample `U` the decision was based on (tasks
+        /// off-loaded during the departing task's execution window). The
+        /// native engine records it so live consumers need not replay
+        /// rings; the simulator leaves it `None` (it is replayable from
+        /// the off-load history), and `None` is not serialized, so
+        /// simulator logs keep their byte form.
+        u: Option<usize>,
         /// Tasks waiting for off-load at the decision (the paper's `T`).
         waiting: usize,
         /// SPEs on the machine.
@@ -520,7 +529,8 @@ fn usize_list(v: &Value, key: &str) -> Result<Vec<usize>, String> {
 }
 
 impl EventKind {
-    fn to_value(&self) -> Value {
+    /// This event's JSON object: a `type` tag, then its fields.
+    pub fn to_value(&self) -> Value {
         match self {
             EventKind::Offload { proc, task } => Value::object(vec![
                 ("type", "offload".into()),
@@ -630,18 +640,23 @@ impl EventKind {
             ]),
             EventKind::DegreeDecision {
                 degree,
+                u,
                 waiting,
                 n_spes,
                 window,
                 window_fill,
-            } => Value::object(vec![
-                ("type", "degree_decision".into()),
-                ("degree", (*degree).into()),
-                ("waiting", (*waiting).into()),
-                ("n_spes", (*n_spes).into()),
-                ("window", (*window).into()),
-                ("window_fill", (*window_fill).into()),
-            ]),
+            } => {
+                let mut members: Vec<(&str, Value)> =
+                    vec![("type", "degree_decision".into()), ("degree", (*degree).into())];
+                if let Some(u) = u {
+                    members.push(("u", (*u).into()));
+                }
+                members.push(("waiting", (*waiting).into()));
+                members.push(("n_spes", (*n_spes).into()));
+                members.push(("window", (*window).into()));
+                members.push(("window_fill", (*window_fill).into()));
+                Value::object(members)
+            }
             EventKind::Health { alarm, severity, detail } => Value::object(vec![
                 ("type", "health".into()),
                 ("alarm", alarm.clone().into()),
@@ -837,6 +852,7 @@ impl EventKind {
             },
             "degree_decision" => EventKind::DegreeDecision {
                 degree: usize_field(v, "degree")?,
+                u: v.get("u").and_then(Value::as_u64).map(|n| n as usize),
                 waiting: usize_field(v, "waiting")?,
                 n_spes: usize_field(v, "n_spes")?,
                 window: usize_field(v, "window")?,
@@ -1070,6 +1086,7 @@ mod tests {
                     at_ns: 99,
                     kind: EventKind::DegreeDecision {
                         degree: 4,
+                        u: None,
                         waiting: 2,
                         n_spes: 8,
                         window: 8,
@@ -1306,6 +1323,45 @@ mod tests {
         assert!(!text.contains("tenant_weights"), "equal weights must not serialize");
         let back = RunLog::from_value(&minijson::parse(&text).unwrap()).unwrap();
         assert_eq!(back, log, "omitted fields read back as their defaults");
+    }
+
+    #[test]
+    fn native_degree_decision_round_trips_its_u_sample() {
+        let mut log = sample_log();
+        log.events = vec![EventRecord {
+            seq: 0,
+            at_ns: 5,
+            kind: EventKind::DegreeDecision {
+                degree: 2,
+                u: Some(3),
+                waiting: 1,
+                n_spes: 8,
+                window: 8,
+                window_fill: 8,
+            },
+        }];
+        let text = log.to_value().to_json_pretty();
+        assert!(text.contains("\"u\": 3"), "{text}");
+        let back = RunLog::from_value(&minijson::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, log);
+    }
+
+    #[test]
+    fn simulator_degree_decision_serializes_without_u() {
+        // Byte-identity contract: simulator logs (and so replay digests)
+        // keep the form they had before native decisions carried `U`.
+        let kind = EventKind::DegreeDecision {
+            degree: 4,
+            u: None,
+            waiting: 2,
+            n_spes: 8,
+            window: 8,
+            window_fill: 3,
+        };
+        assert_eq!(
+            kind.to_value().to_json(),
+            r#"{"type":"degree_decision","degree":4,"waiting":2,"n_spes":8,"window":8,"window_fill":3}"#
+        );
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   policies: a virtual-SPE pool with bounded local stores, work-sharing
 //!   teams with `Pass`-style result messages, and PPE-context admission
 //!   control.
+//! * [`event`] — the event vocabulary both engines record: the
+//!   simulator into its `RunLog`, the native engine into its [`tracing`]
+//!   rings, so the checker and every fold read one representation.
 //!
 //! The companion `cellsim` crate drives the same [`policy`] types over a
 //! discrete-event model of the Cell processor to regenerate the paper's
@@ -48,6 +51,7 @@
 
 #![warn(missing_docs)]
 
+pub mod event;
 pub mod faults;
 pub mod metrics;
 pub mod native;
@@ -59,4 +63,4 @@ pub use metrics::{
     AtomicMetrics, Counter, HistKind, MetricsSink, MetricsSinkExt, MetricsSnapshot, NopMetrics,
     Snapshot, SnapshotDelta, SnapshotSource,
 };
-pub use tracing::{TraceEvent, TraceEventKind, TraceHandle, TraceLog, Tracer, ThreadTrace};
+pub use tracing::{TraceEvent, TraceHandle, TraceLog, Tracer, ThreadTrace};

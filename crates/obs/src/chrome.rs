@@ -22,9 +22,9 @@
 //! trace, and summing `dur` per SPE thread reproduces the checker's
 //! per-SPE busy accounting exactly.
 //!
-//! [`RunLog`]: cellsim::event::RunLog
+//! [`RunLog`]: mgps_runtime::event::RunLog
 
-use cellsim::event::RunLog;
+use mgps_runtime::event::RunLog;
 use minijson::Value;
 
 use crate::decisions::decisions;
@@ -118,7 +118,7 @@ pub fn chrome_trace(log: &RunLog) -> String {
 
     for e in &log.events {
         match &e.kind {
-            cellsim::event::EventKind::FaultInjected { spe, task, fault, attempt } => {
+            mgps_runtime::event::EventKind::FaultInjected { spe, task, fault, attempt } => {
                 events.push(Value::object(vec![
                     ("name", format!("fault: {fault}").into()),
                     ("ph", "i".into()),
@@ -132,7 +132,7 @@ pub fn chrome_trace(log: &RunLog) -> String {
                     ),
                 ]));
             }
-            cellsim::event::EventKind::PpeFallback { task, attempts, .. } => {
+            mgps_runtime::event::EventKind::PpeFallback { task, attempts, .. } => {
                 events.push(Value::object(vec![
                     ("name", format!("ppe fallback task {task}").into()),
                     ("ph", "i".into()),
@@ -146,7 +146,7 @@ pub fn chrome_trace(log: &RunLog) -> String {
                     ),
                 ]));
             }
-            cellsim::event::EventKind::Chunk { task, start, len, worker, .. } => {
+            mgps_runtime::event::EventKind::Chunk { task, start, len, worker, .. } => {
                 events.push(Value::object(vec![
                     ("name", format!("chunk [{start}, {})", start + len).into()),
                     ("ph", "i".into()),
@@ -164,7 +164,7 @@ pub fn chrome_trace(log: &RunLog) -> String {
                     ),
                 ]));
             }
-            cellsim::event::EventKind::GranularityVerdict { kernel, offload, reprobe, .. } => {
+            mgps_runtime::event::EventKind::GranularityVerdict { kernel, offload, reprobe, .. } => {
                 let ruling = if *reprobe {
                     "reprobe"
                 } else if *offload {
@@ -189,7 +189,7 @@ pub fn chrome_trace(log: &RunLog) -> String {
                     ),
                 ]));
             }
-            cellsim::event::EventKind::OffloadRetry { task, attempt, backoff_ns } => {
+            mgps_runtime::event::EventKind::OffloadRetry { task, attempt, backoff_ns } => {
                 events.push(Value::object(vec![
                     ("name", format!("retry task {task} (attempt {attempt})").into()),
                     ("ph", "i".into()),
@@ -207,8 +207,8 @@ pub fn chrome_trace(log: &RunLog) -> String {
                     ),
                 ]));
             }
-            cellsim::event::EventKind::LsAlloc { spe, in_use, .. }
-            | cellsim::event::EventKind::LsFree { spe, in_use, .. } => {
+            mgps_runtime::event::EventKind::LsAlloc { spe, in_use, .. }
+            | mgps_runtime::event::EventKind::LsFree { spe, in_use, .. } => {
                 // One counter track per SPE: local-store occupancy over time.
                 events.push(Value::object(vec![
                     ("name", format!("ls_in_use {spe}").into()),
@@ -258,7 +258,7 @@ pub fn chrome_trace(log: &RunLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventKind, EventRecord, SchedulerTag};
+    use mgps_runtime::event::{EventKind, EventRecord, SchedulerTag};
 
     fn small_log() -> RunLog {
         let events = vec![
@@ -270,6 +270,7 @@ mod tests {
                 120,
                 EventKind::DegreeDecision {
                     degree: 2,
+                    u: None,
                     waiting: 1,
                     n_spes: 2,
                     window: 1,

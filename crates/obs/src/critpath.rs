@@ -57,11 +57,11 @@
 //! reproduces the recorded makespan (validated in tests against the
 //! simulator), which is what licenses trusting it off the recorded point.
 //!
-//! [`RunLog`]: cellsim::event::RunLog
+//! [`RunLog`]: mgps_runtime::event::RunLog
 
 use std::collections::{BTreeMap, HashMap};
 
-use cellsim::event::{EventKind, RunLog};
+use mgps_runtime::event::{EventKind, RunLog};
 
 /// The five phases of the paper's granularity inequality, as blame
 /// categories for makespan accounting.
@@ -446,7 +446,7 @@ fn fold_tasks(log: &RunLog) -> Vec<TaskRec> {
 pub(crate) mod oracle {
     use std::collections::HashSet;
 
-    use cellsim::event::RunLog;
+    use mgps_runtime::event::RunLog;
 
     use super::{fold_tasks, CritStep, CriticalPath};
 
@@ -512,7 +512,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventRecord, SchedulerTag};
+    use mgps_runtime::event::{EventRecord, SchedulerTag};
     use proptest::prelude::*;
 
     fn log_with(events: Vec<(u64, EventKind)>) -> RunLog {

@@ -9,11 +9,11 @@
 //! bounded deque of the last `window` off-load times, counted over
 //! `[offload_ns, end_ns]` of the departing task.
 //!
-//! [`EventKind::DegreeDecision`]: cellsim::event::EventKind::DegreeDecision
+//! [`EventKind::DegreeDecision`]: mgps_runtime::event::EventKind::DegreeDecision
 
 use std::collections::{HashMap, VecDeque};
 
-use cellsim::event::{EventKind, RunLog};
+use mgps_runtime::event::{EventKind, RunLog};
 
 /// One MGPS evaluation point, with both the policy's inputs and output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +75,7 @@ pub fn decisions(log: &RunLog) -> Vec<DecisionRecord> {
                     .count();
                 pending = Some((*task, u));
             }
-            EventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill } => {
+            EventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill, .. } => {
                 let (task, u) = pending.take().unwrap_or((0, 0));
                 out.push(DecisionRecord {
                     at_ns: e.at_ns,
@@ -97,7 +97,7 @@ pub fn decisions(log: &RunLog) -> Vec<DecisionRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventRecord, SchedulerTag};
+    use mgps_runtime::event::{EventRecord, SchedulerTag};
 
     fn log_with(window: usize, events: Vec<(u64, EventKind)>) -> RunLog {
         RunLog {
@@ -119,7 +119,14 @@ mod tests {
     }
 
     fn decision(degree: usize, waiting: usize, fill: usize) -> EventKind {
-        EventKind::DegreeDecision { degree, waiting, n_spes: 8, window: 2, window_fill: fill }
+        EventKind::DegreeDecision {
+            degree,
+            u: None,
+            waiting,
+            n_spes: 8,
+            window: 2,
+            window_fill: fill,
+        }
     }
 
     #[test]

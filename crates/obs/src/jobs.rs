@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use cellsim::event::{EventKind, RunLog};
+use mgps_runtime::event::{EventKind, RunLog};
 
 /// The latency quantiles exported on `/metrics` and shown by `top`.
 pub const JOB_QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
@@ -256,7 +256,7 @@ pub fn quantile_from_log2_buckets(buckets: &[u64], q: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventRecord, SchedulerTag};
+    use mgps_runtime::event::{EventRecord, SchedulerTag};
     use mgps_runtime::metrics::{hist_bucket, HIST_BUCKETS};
 
     fn job_log(events: Vec<(u64, EventKind)>) -> RunLog {

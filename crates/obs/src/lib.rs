@@ -25,7 +25,7 @@
 //! All folds are pure functions of the log, so a deterministic run yields
 //! byte-identical exports.
 //!
-//! [`RunLog`]: cellsim::event::RunLog
+//! [`RunLog`]: mgps_runtime::event::RunLog
 
 #![warn(missing_docs)]
 

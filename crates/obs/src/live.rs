@@ -28,12 +28,12 @@
 //! status twice yields byte-identical text — and nothing ever calls back
 //! into a recording hot path.
 //!
-//! [`RunLog`]: cellsim::event::RunLog
+//! [`RunLog`]: mgps_runtime::event::RunLog
 
 use std::fmt::Write as _;
 
 use crate::jobs::{quantile_from_log2_buckets, JOB_QUANTILES};
-use cellsim::event::{EventKind, EventRecord, RunLog};
+use mgps_runtime::event::{EventKind, EventRecord, RunLog};
 use mgps_runtime::metrics::{
     Counter, HistKind, MetricsSnapshot, SnapshotDelta, HIST_BUCKETS,
 };
@@ -174,7 +174,7 @@ impl HealthEvent {
     }
 
     /// The [`RunLog`] vocabulary for this alarm.
-    pub fn to_event_kind(&self) -> EventKind {
+    pub fn event_kind(&self) -> EventKind {
         EventKind::Health {
             alarm: self.kind.slug().to_string(),
             severity: self.kind.severity().to_string(),
@@ -184,96 +184,27 @@ impl HealthEvent {
 }
 
 /// One NDJSON line for a job lifecycle event on the `/events` stream;
-/// `None` for event kinds outside the job lifecycle. The `type` tags
-/// match the [`RunLog`] JSON schema so a stream consumer and a log
-/// consumer parse the same vocabulary.
+/// `None` for event kinds outside the job lifecycle. The line is the
+/// event's [`RunLog`] JSON object with `at_ns` after its `type` tag, so a
+/// stream consumer and a log consumer parse the same vocabulary.
 pub fn job_event_json_line(at_ns: u64, kind: &EventKind) -> Option<String> {
-    let v = match kind {
-        EventKind::JobSubmitted {
-            job,
-            tenant,
-            taxa,
-            sites,
-            bootstraps,
-            deadline_ns,
-            queue_depth,
-            queue_cap,
-        } => {
-            let mut members = vec![
-                ("type", "job_submitted".into()),
-                ("at_ns", at_ns.into()),
-                ("job", (*job).into()),
-                ("tenant", (*tenant).into()),
-                ("taxa", (*taxa).into()),
-                ("sites", (*sites).into()),
-                ("bootstraps", (*bootstraps).into()),
-            ];
-            // Mirror the RunLog schema: default-valued fields stay off
-            // the wire so deadline-free streams look exactly as before.
-            if *deadline_ns != 0 {
-                members.push(("deadline_ns", (*deadline_ns).into()));
-            }
-            members.push(("queue_depth", (*queue_depth).into()));
-            members.push(("queue_cap", (*queue_cap).into()));
-            Value::object(members)
-        }
-        EventKind::JobStarted { job, tenant, attempt } => {
-            let mut members = vec![
-                ("type", "job_started".into()),
-                ("at_ns", at_ns.into()),
-                ("job", (*job).into()),
-                ("tenant", (*tenant).into()),
-            ];
-            if *attempt != 0 {
-                members.push(("attempt", (*attempt).into()));
-            }
-            Value::object(members)
-        }
-        EventKind::JobCompleted { job, tenant, t_queue_ns, t_dispatch_ns, t_kernel_ns, t_reduce_ns } => {
-            Value::object(vec![
-                ("type", "job_completed".into()),
-                ("at_ns", at_ns.into()),
-                ("job", (*job).into()),
-                ("tenant", (*tenant).into()),
-                ("t_queue_ns", (*t_queue_ns).into()),
-                ("t_dispatch_ns", (*t_dispatch_ns).into()),
-                ("t_kernel_ns", (*t_kernel_ns).into()),
-                ("t_reduce_ns", (*t_reduce_ns).into()),
-            ])
-        }
-        EventKind::JobRejected { job, tenant, queue_depth, queue_cap } => Value::object(vec![
-            ("type", "job_rejected".into()),
-            ("at_ns", at_ns.into()),
-            ("job", (*job).into()),
-            ("tenant", (*tenant).into()),
-            ("queue_depth", (*queue_depth).into()),
-            ("queue_cap", (*queue_cap).into()),
-        ]),
-        EventKind::JobShed { job, tenant, deadline_ns } => Value::object(vec![
-            ("type", "job_shed".into()),
-            ("at_ns", at_ns.into()),
-            ("job", (*job).into()),
-            ("tenant", (*tenant).into()),
-            ("deadline_ns", (*deadline_ns).into()),
-        ]),
-        EventKind::JobRetried { job, tenant, attempt, backoff_ns } => Value::object(vec![
-            ("type", "job_retried".into()),
-            ("at_ns", at_ns.into()),
-            ("job", (*job).into()),
-            ("tenant", (*tenant).into()),
-            ("attempt", (*attempt).into()),
-            ("backoff_ns", (*backoff_ns).into()),
-        ]),
-        EventKind::JobPoisoned { job, tenant, attempts } => Value::object(vec![
-            ("type", "job_poisoned".into()),
-            ("at_ns", at_ns.into()),
-            ("job", (*job).into()),
-            ("tenant", (*tenant).into()),
-            ("attempts", (*attempts).into()),
-        ]),
-        _ => return None,
+    if !matches!(
+        kind,
+        EventKind::JobSubmitted { .. }
+            | EventKind::JobStarted { .. }
+            | EventKind::JobCompleted { .. }
+            | EventKind::JobRejected { .. }
+            | EventKind::JobShed { .. }
+            | EventKind::JobRetried { .. }
+            | EventKind::JobPoisoned { .. }
+    ) {
+        return None;
+    }
+    let Value::Object(mut members) = kind.to_value() else {
+        return None;
     };
-    Some(v.to_json())
+    members.insert(1, ("at_ns".to_string(), at_ns.into()));
+    Some(Value::Object(members).to_json())
 }
 
 /// Thresholds for the online detector.
@@ -612,7 +543,7 @@ pub fn merge_health_events(log: &mut RunLog, events: &[HealthEvent]) {
         return;
     }
     for e in events {
-        log.events.push(EventRecord { seq: 0, at_ns: e.at_ns, kind: e.to_event_kind() });
+        log.events.push(EventRecord { seq: 0, at_ns: e.at_ns, kind: e.event_kind() });
     }
     log.events.sort_by_key(|e| e.at_ns);
     for (i, e) in log.events.iter_mut().enumerate() {
@@ -1181,7 +1112,7 @@ mod tests {
         let fired = det.observe_delta(20, &delta_with_quarantines(2, 4), 0);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AlarmKind::QuarantineStorm);
-        assert_eq!(fired[0].to_event_kind(), EventKind::Health {
+        assert_eq!(fired[0].event_kind(), EventKind::Health {
             alarm: "quarantine_storm".to_string(),
             severity: "warning".to_string(),
             detail: fired[0].detail.clone(),
@@ -1202,7 +1133,7 @@ mod tests {
         let fired = det.observe_delta(2, &delta_with_stalls(2, 0), 17);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AlarmKind::RingDrop);
-        assert_eq!(fired[0].to_event_kind(), EventKind::Health {
+        assert_eq!(fired[0].event_kind(), EventKind::Health {
             alarm: "ring_drop".to_string(),
             severity: "critical".to_string(),
             detail: fired[0].detail.clone(),
@@ -1236,7 +1167,7 @@ mod tests {
         let fired = det.observe_delta(30, &delta_with_jobs(3, 16, over), 0);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AlarmKind::LatencySloBurn);
-        assert_eq!(fired[0].to_event_kind(), EventKind::Health {
+        assert_eq!(fired[0].event_kind(), EventKind::Health {
             alarm: "latency_slo_burn".to_string(),
             severity: "warning".to_string(),
             detail: fired[0].detail.clone(),
@@ -1300,7 +1231,11 @@ mod tests {
             queue_cap: 8,
         };
         let line = job_event_json_line(40, &submitted).expect("job event renders");
-        assert!(!line.contains('\n'));
+        // The wire form: the RunLog object with `at_ns` after `type`.
+        assert_eq!(
+            line,
+            r#"{"type":"job_submitted","at_ns":40,"job":7,"tenant":2,"taxa":16,"sites":256,"bootstraps":3,"queue_depth":1,"queue_cap":8}"#
+        );
         assert!(!line.contains("deadline_ns"), "deadline-free submissions omit the field");
         let v = minijson::parse(&line).unwrap();
         assert_eq!(v.get("type").and_then(|s| s.as_str()), Some("job_submitted"));
@@ -1401,7 +1336,7 @@ mod tests {
 
     #[test]
     fn merge_health_events_keeps_order_and_dense_seq() {
-        use cellsim::event::SchedulerTag;
+        use mgps_runtime::event::SchedulerTag;
         let mut log = RunLog {
             scheduler: SchedulerTag::Mgps,
             n_spes: 2,

@@ -1,13 +1,13 @@
-//! Drain native span traces into the simulator's [`RunLog`] vocabulary.
+//! Drain native span traces into a [`RunLog`].
 //!
 //! The native runtime records per-thread rings of
-//! [`mgps_runtime::tracing::TraceEvent`]s — a plain-data mirror of
-//! [`cellsim::event::EventKind`] stamped by one shared monotonic clock.
-//! [`runlog_from_trace`] merges those rings into a single [`RunLog`], after
-//! which the entire observability stack works on native runs unchanged:
-//! the `mgps-analysis` checker (in its native mode), [`crate::timeline`],
-//! [`crate::phases`], [`crate::decisions`], [`crate::chrome_trace`], and
-//! the critical-path engine.
+//! [`mgps_runtime::tracing::TraceEvent`]s — the same [`EventKind`] the
+//! simulator logs, stamped by one shared monotonic clock.
+//! [`runlog_from_trace`] merges those rings into a single [`RunLog`] and
+//! stamps its header, after which the entire observability stack works on
+//! native runs unchanged: the `mgps-analysis` checker (in its native mode),
+//! [`crate::timeline`], [`crate::phases`], [`crate::decisions()`],
+//! [`crate::chrome_trace`], and the critical-path engine.
 //!
 //! ## Merge order
 //!
@@ -19,11 +19,11 @@
 //! precedence: job admission/rejection/start < off-load < fault ladder <
 //! mailbox write < mailbox read < task start < code reload / DMA / LS
 //! alloc < chunk < LS free < task end < job completion < context switch <
-//! degree decision.
+//! degree decision < health alarm.
 
-use cellsim::event::{EventKind, EventRecord, MailboxKind, RunLog, SchedulerTag, SwitchReason};
+use mgps_runtime::event::{EventKind, EventRecord, RunLog, SchedulerTag};
 use mgps_runtime::native::LOCAL_STORE_BYTES;
-use mgps_runtime::tracing::{TraceEventKind, TraceLog, TraceMailbox};
+use mgps_runtime::tracing::TraceLog;
 
 /// Run-level metadata the rings do not carry (the trace records *what
 /// happened*; which scheduler and machine shape produced it is the
@@ -46,152 +46,49 @@ pub struct NativeRunMeta {
     pub tenant_weights: Option<Vec<u64>>,
 }
 
-fn kind_rank(kind: &TraceEventKind) -> u8 {
+fn kind_rank(kind: &EventKind) -> u8 {
     match kind {
         // A job is admitted (or refused) before anything it causes; a
         // same-instant start follows its submission but precedes the
         // verdicts and off-loads of the work it dispatches.
-        TraceEventKind::JobSubmitted { .. } => 0,
-        TraceEventKind::JobRejected { .. } => 1,
-        TraceEventKind::JobStarted { .. } => 2,
+        EventKind::JobSubmitted { .. } => 0,
+        EventKind::JobRejected { .. } => 1,
+        EventKind::JobStarted { .. } => 2,
         // The controller rules on where a kernel runs *before* any
         // same-instant off-load request it grants.
-        TraceEventKind::GranularityVerdict { .. } => 3,
-        TraceEventKind::Offload { .. } => 4,
+        EventKind::GranularityVerdict { .. } => 3,
+        EventKind::Offload { .. } => 4,
         // A fault precedes the quarantine it causes, which precedes the
         // retry it forces; all precede any same-instant grant.
-        TraceEventKind::FaultInjected { .. } => 5,
-        TraceEventKind::SpeQuarantined { .. } | TraceEventKind::SpeReadmitted { .. } => 6,
-        TraceEventKind::OffloadRetry { .. } => 7,
+        EventKind::FaultInjected { .. } => 5,
+        EventKind::SpeQuarantined { .. } | EventKind::SpeReadmitted { .. } => 6,
+        EventKind::OffloadRetry { .. } => 7,
         // The start signal (inbound mailbox post + drain) precedes the
         // task it starts; a write precedes its same-instant read.
-        TraceEventKind::MailboxWrite { .. } => 8,
-        TraceEventKind::MailboxRead { .. } => 9,
-        TraceEventKind::TaskStart { .. } => 10,
-        TraceEventKind::CodeReload { .. }
-        | TraceEventKind::Dma { .. }
-        | TraceEventKind::DmaComplete { .. }
-        | TraceEventKind::LsAlloc { .. } => 11,
-        TraceEventKind::Chunk { .. } => 12,
+        EventKind::MailboxWrite { .. } => 8,
+        EventKind::MailboxRead { .. } => 9,
+        EventKind::TaskStart { .. } => 10,
+        EventKind::CodeReload { .. }
+        | EventKind::Dma { .. }
+        | EventKind::DmaComplete { .. }
+        | EventKind::LsAlloc { .. } => 11,
+        EventKind::Chunk { .. } => 12,
         // Scratch is released at task teardown: after the chunks, before
         // (or with) the task end.
-        TraceEventKind::LsFree { .. } => 13,
-        TraceEventKind::TaskEnd { .. } | TraceEventKind::PpeFallback { .. } => 14,
+        EventKind::LsFree { .. } => 13,
+        EventKind::TaskEnd { .. } | EventKind::PpeFallback { .. } => 14,
         // A job resolves (completion, shed, retry re-queue, poison
         // quarantine) only after its last task event; the dispatcher's
         // strictly increasing lock stamps keep these from genuinely tying
         // with each other.
-        TraceEventKind::JobCompleted { .. }
-        | TraceEventKind::JobShed { .. }
-        | TraceEventKind::JobRetried { .. }
-        | TraceEventKind::JobPoisoned { .. } => 15,
-        TraceEventKind::CtxSwitch { .. } => 16,
-        TraceEventKind::DegreeDecision { .. } => 17,
-    }
-}
-
-fn to_mailbox_kind(mailbox: TraceMailbox) -> MailboxKind {
-    match mailbox {
-        TraceMailbox::Inbound => MailboxKind::Inbound,
-        TraceMailbox::Outbound => MailboxKind::Outbound,
-        TraceMailbox::OutboundInterrupt => MailboxKind::OutboundInterrupt,
-    }
-}
-
-fn to_event_kind(kind: &TraceEventKind) -> EventKind {
-    match kind.clone() {
-        TraceEventKind::Offload { proc, task } => EventKind::Offload { proc, task },
-        TraceEventKind::CtxSwitch { proc, held_ns } => EventKind::CtxSwitch {
-            // The native gate only records *voluntary* yields at off-load
-            // points; quantum rotation is the OS scheduler's business.
-            proc,
-            reason: SwitchReason::Offload,
-            held_ns,
-        },
-        TraceEventKind::TaskStart { proc, task, degree, team } => {
-            EventKind::TaskStart { proc, task, degree, team }
-        }
-        TraceEventKind::TaskEnd { proc, task, team } => EventKind::TaskEnd { proc, task, team },
-        TraceEventKind::Chunk { task, loop_iters, start, len, worker } => {
-            EventKind::Chunk { task, loop_iters, start, len, worker }
-        }
-        TraceEventKind::CodeReload { spe, stall_ns } => EventKind::CodeReload { spe, stall_ns },
-        TraceEventKind::DmaComplete { spe, bytes, latency_ns } => {
-            EventKind::DmaComplete { spe, bytes, latency_ns }
-        }
-        TraceEventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill, u: _ } => {
-            // The simulator vocabulary replays `U` from the off-load
-            // history (`crate::decisions`), so the trace's sample is
-            // dropped rather than duplicated into the log schema.
-            EventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill }
-        }
-        TraceEventKind::FaultInjected { spe, task, fault, attempt } => {
-            EventKind::FaultInjected { spe, task, fault, attempt }
-        }
-        TraceEventKind::OffloadRetry { task, attempt, backoff_ns } => {
-            EventKind::OffloadRetry { task, attempt, backoff_ns }
-        }
-        TraceEventKind::SpeQuarantined { spe, faults } => EventKind::SpeQuarantined { spe, faults },
-        TraceEventKind::SpeReadmitted { spe } => EventKind::SpeReadmitted { spe },
-        TraceEventKind::PpeFallback { proc, task, attempts } => {
-            EventKind::PpeFallback { proc, task, attempts }
-        }
-        TraceEventKind::Dma { spe, element_bytes, local_addr, main_addr } => {
-            EventKind::Dma { spe, element_bytes, local_addr, main_addr }
-        }
-        TraceEventKind::MailboxWrite { spe, mailbox, occupancy } => {
-            EventKind::MailboxWrite { spe, mailbox: to_mailbox_kind(mailbox), occupancy }
-        }
-        TraceEventKind::MailboxRead { spe, mailbox, occupancy } => {
-            EventKind::MailboxRead { spe, mailbox: to_mailbox_kind(mailbox), occupancy }
-        }
-        TraceEventKind::LsAlloc { spe, bytes, in_use } => EventKind::LsAlloc { spe, bytes, in_use },
-        TraceEventKind::LsFree { spe, bytes, in_use } => EventKind::LsFree { spe, bytes, in_use },
-        TraceEventKind::GranularityVerdict { kernel, offload, throttled, reprobe } => {
-            EventKind::GranularityVerdict { kernel, offload, throttled, reprobe }
-        }
-        TraceEventKind::JobSubmitted {
-            job,
-            tenant,
-            taxa,
-            sites,
-            bootstraps,
-            deadline_ns,
-            queue_depth,
-            queue_cap,
-        } => EventKind::JobSubmitted {
-            job,
-            tenant,
-            taxa,
-            sites,
-            bootstraps,
-            deadline_ns,
-            queue_depth,
-            queue_cap,
-        },
-        TraceEventKind::JobStarted { job, tenant, attempt } => {
-            EventKind::JobStarted { job, tenant, attempt }
-        }
-        TraceEventKind::JobShed { job, tenant, deadline_ns } => {
-            EventKind::JobShed { job, tenant, deadline_ns }
-        }
-        TraceEventKind::JobRetried { job, tenant, attempt, backoff_ns } => {
-            EventKind::JobRetried { job, tenant, attempt, backoff_ns }
-        }
-        TraceEventKind::JobPoisoned { job, tenant, attempts } => {
-            EventKind::JobPoisoned { job, tenant, attempts }
-        }
-        TraceEventKind::JobCompleted {
-            job,
-            tenant,
-            t_queue_ns,
-            t_dispatch_ns,
-            t_kernel_ns,
-            t_reduce_ns,
-        } => EventKind::JobCompleted { job, tenant, t_queue_ns, t_dispatch_ns, t_kernel_ns, t_reduce_ns },
-        TraceEventKind::JobRejected { job, tenant, queue_depth, queue_cap } => {
-            EventKind::JobRejected { job, tenant, queue_depth, queue_cap }
-        }
+        EventKind::JobCompleted { .. }
+        | EventKind::JobShed { .. }
+        | EventKind::JobRetried { .. }
+        | EventKind::JobPoisoned { .. } => 15,
+        EventKind::CtxSwitch { .. } => 16,
+        EventKind::DegreeDecision { .. } => 17,
+        // An alarm reports on what already happened at its instant.
+        EventKind::Health { .. } => 18,
     }
 }
 
@@ -205,7 +102,7 @@ pub fn runlog_from_trace(trace: &TraceLog, meta: NativeRunMeta) -> RunLog {
         .threads
         .iter()
         .flat_map(|t| &t.events)
-        .map(|e| (e.at_ns, kind_rank(&e.kind), to_event_kind(&e.kind)))
+        .map(|e| (e.at_ns, kind_rank(&e.kind), e.kind.clone()))
         .collect();
     merged.sort_by_key(|e| (e.0, e.1));
     let events = merged
@@ -234,35 +131,56 @@ pub fn runlog_from_trace(trace: &TraceLog, meta: NativeRunMeta) -> RunLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgps_runtime::event::{MailboxKind, SwitchReason};
     use mgps_runtime::tracing::Tracer;
 
     #[test]
-    fn merge_orders_ties_by_causal_rank() {
+    fn drained_kinds_reach_the_log_unchanged_in_rank_order() {
         let tracer = Tracer::new(16);
         let ppe = tracer.handle();
         let spe = tracer.handle();
-        // Record in "wrong" ring order; equal timestamps are impossible to
-        // force through the real clock, so build the log by hand instead.
-        ppe.record(TraceEventKind::Offload { proc: 0, task: 0 });
-        spe.record(TraceEventKind::TaskStart { proc: 0, task: 0, degree: 1, team: vec![2] });
-        spe.record(TraceEventKind::TaskEnd { proc: 0, task: 0, team: vec![2] });
+        let health = EventKind::Health {
+            alarm: "ring_drop".to_string(),
+            severity: "critical".to_string(),
+            detail: "1 event dropped".to_string(),
+        };
+        // Recorded in "wrong" ring order; equal timestamps are impossible
+        // to force through the real clock, so flatten them below.
+        spe.record(health.clone());
+        spe.record(EventKind::TaskEnd { proc: 0, task: 0, team: vec![2] });
+        spe.record(EventKind::TaskStart { proc: 0, task: 0, degree: 1, team: vec![2] });
+        ppe.record(EventKind::DegreeDecision {
+            degree: 2,
+            u: Some(3),
+            waiting: 1,
+            n_spes: 4,
+            window: 4,
+            window_fill: 4,
+        });
+        ppe.record(EventKind::CtxSwitch { proc: 0, reason: SwitchReason::Offload, held_ns: 7 });
+        ppe.record(EventKind::MailboxWrite { spe: 2, mailbox: MailboxKind::Inbound, occupancy: 1 });
+        ppe.record(EventKind::Offload { proc: 0, task: 0 });
         let mut log = tracer.drain();
-        // Flatten every timestamp to the same instant: the rank must still
-        // order offload < start < end.
         for t in &mut log.threads {
             for e in &mut t.events {
                 e.at_ns = 100;
             }
         }
+        let mut recorded: Vec<EventKind> =
+            log.threads.iter().flat_map(|t| &t.events).map(|e| e.kind.clone()).collect();
+        recorded.sort_by_key(kind_rank);
         let run = runlog_from_trace(
             &log,
-            NativeRunMeta { scheduler: SchedulerTag::Edtlp, n_spes: 4, seed: 0, fault_policy: None, tenant_weights: None },
+            NativeRunMeta { scheduler: SchedulerTag::Mgps, n_spes: 4, seed: 0, fault_policy: None, tenant_weights: None },
         );
-        assert_eq!(run.events.len(), 3);
-        assert!(matches!(run.events[0].kind, EventKind::Offload { .. }));
-        assert!(matches!(run.events[1].kind, EventKind::TaskStart { .. }));
-        assert!(matches!(run.events[2].kind, EventKind::TaskEnd { .. }));
-        assert_eq!(run.events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
+        // Every payload arrives as recorded; only the order changes, and
+        // it is the causal rank order: offload < mailbox < start < end <
+        // switch < decision < health.
+        let merged: Vec<EventKind> = run.events.iter().map(|e| e.kind.clone()).collect();
+        assert_eq!(merged, recorded);
+        assert!(matches!(merged[0], EventKind::Offload { .. }));
+        assert_eq!(merged.last(), Some(&health));
+        assert_eq!(run.events.iter().map(|e| e.seq).collect::<Vec<_>>(), (0..7).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -273,8 +191,8 @@ mod tests {
         // Recorded in deliberately scrambled ring order; once every stamp
         // is flattened, the ranks alone must restore submission < start <
         // off-load < task start < task end < completion.
-        worker.record(TraceEventKind::TaskEnd { proc: 0, task: 0, team: vec![0] });
-        worker.record(TraceEventKind::JobCompleted {
+        worker.record(EventKind::TaskEnd { proc: 0, task: 0, team: vec![0] });
+        worker.record(EventKind::JobCompleted {
             job: 9,
             tenant: 0,
             t_queue_ns: 0,
@@ -282,7 +200,7 @@ mod tests {
             t_kernel_ns: 0,
             t_reduce_ns: 0,
         });
-        admit.record(TraceEventKind::JobSubmitted {
+        admit.record(EventKind::JobSubmitted {
             job: 9,
             tenant: 0,
             taxa: 4,
@@ -292,9 +210,9 @@ mod tests {
             queue_depth: 1,
             queue_cap: 4,
         });
-        worker.record(TraceEventKind::JobStarted { job: 9, tenant: 0, attempt: 0 });
-        worker.record(TraceEventKind::Offload { proc: 0, task: 0 });
-        worker.record(TraceEventKind::TaskStart { proc: 0, task: 0, degree: 1, team: vec![0] });
+        worker.record(EventKind::JobStarted { job: 9, tenant: 0, attempt: 0 });
+        worker.record(EventKind::Offload { proc: 0, task: 0 });
+        worker.record(EventKind::TaskStart { proc: 0, task: 0, degree: 1, team: vec![0] });
         let mut log = tracer.drain();
         for t in &mut log.threads {
             for e in &mut t.events {

@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use cellsim::event::{EventKind, RunLog};
+use mgps_runtime::event::{EventKind, RunLog};
 
 /// The phase terms of one off-load.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -163,7 +163,7 @@ impl PhaseBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventRecord, SchedulerTag};
+    use mgps_runtime::event::{EventRecord, SchedulerTag};
 
     fn log_with(events: Vec<(u64, EventKind)>) -> RunLog {
         RunLog {

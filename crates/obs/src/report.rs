@@ -18,7 +18,7 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use cellsim::event::RunLog;
+use mgps_runtime::event::RunLog;
 use mgps_runtime::Counter;
 
 use crate::critpath::{what_if, CriticalPath, Phase, WhatIf};
@@ -209,7 +209,7 @@ pub fn html_report(log: &RunLog, source: RunSource) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventKind, EventRecord, SchedulerTag};
+    use mgps_runtime::event::{EventKind, EventRecord, SchedulerTag};
 
     fn small_log() -> RunLog {
         let events = vec![

@@ -11,12 +11,12 @@
 //! [`ObsSummary::counter`] returns `None` for them on simulated runs, so
 //! reports render "n/a" rather than a falsely confident 0.
 //!
-//! [`RunLog`]: cellsim::event::RunLog
+//! [`RunLog`]: mgps_runtime::event::RunLog
 //! [`MetricsSink`]: mgps_runtime::MetricsSink
 
 use std::collections::HashMap;
 
-use cellsim::event::{EventKind, RunLog, SwitchReason};
+use mgps_runtime::event::{EventKind, RunLog, SwitchReason};
 use mgps_runtime::{Counter, HistKind, MetricsSnapshot};
 use minijson::Value;
 
@@ -303,7 +303,7 @@ impl ObsSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventRecord, MailboxKind, SchedulerTag};
+    use mgps_runtime::event::{EventRecord, MailboxKind, SchedulerTag};
 
     fn small_log() -> RunLog {
         let events = vec![
@@ -330,6 +330,7 @@ mod tests {
                 120,
                 EventKind::DegreeDecision {
                     degree: 8,
+                    u: None,
                     waiting: 1,
                     n_spes: 2,
                     window: 1,
@@ -414,6 +415,7 @@ mod tests {
                 at_ns: 200 + i as u64,
                 kind: EventKind::DegreeDecision {
                     degree,
+                    u: None,
                     waiting: 1,
                     n_spes: 2,
                     window: 1,

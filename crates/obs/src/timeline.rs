@@ -1,10 +1,10 @@
 //! Per-SPE busy/idle/DMA timelines folded from a [`RunLog`].
 //!
-//! [`RunLog`]: cellsim::event::RunLog
+//! [`RunLog`]: mgps_runtime::event::RunLog
 
 use std::collections::{BTreeMap, HashMap};
 
-use cellsim::event::{EventKind, RunLog};
+use mgps_runtime::event::{EventKind, RunLog};
 
 /// One task occupancy interval on one SPE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,7 +205,7 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventRecord, SchedulerTag};
+    use mgps_runtime::event::{EventRecord, SchedulerTag};
 
     fn log_with(events: Vec<(u64, EventKind)>) -> RunLog {
         RunLog {

@@ -8,10 +8,10 @@
 //! their findings in different orders. Every comparison below therefore
 //! re-runs the fold from scratch and demands identical bytes.
 
-use cellsim::event::RunLog;
 use cellsim::machine::{run, SimConfig};
 use mgps_analysis::check_run;
 use mgps_obs::{what_if, CriticalPath, Timeline, WhatIf};
+use mgps_runtime::event::RunLog;
 use mgps_runtime::faults::FaultPlan;
 use mgps_runtime::policy::SchedulerKind;
 

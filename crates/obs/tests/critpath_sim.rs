@@ -7,9 +7,9 @@
 //! "+1 SPE" prediction agrees with *actually re-running the simulator* on
 //! a 9-SPE machine.
 
-use cellsim::event::RunLog;
 use cellsim::machine::{run, SimConfig};
 use mgps_obs::{what_if, CriticalPath, Phase, WhatIf};
+use mgps_runtime::event::RunLog;
 use mgps_runtime::faults::FaultPlan;
 use mgps_runtime::policy::SchedulerKind;
 

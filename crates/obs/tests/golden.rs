@@ -7,7 +7,7 @@ use mgps_obs::{chrome_trace, ObsSummary, Timeline};
 use mgps_runtime::policy::SchedulerKind;
 use minijson::Value;
 
-fn recorded_log(scheduler: SchedulerKind, seed: u64) -> cellsim::event::RunLog {
+fn recorded_log(scheduler: SchedulerKind, seed: u64) -> mgps_runtime::event::RunLog {
     let mut cfg = SimConfig::cell_42sc(scheduler, 6, 400);
     cfg.seed = seed;
     cfg.record_events = true;

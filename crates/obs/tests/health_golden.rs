@@ -6,9 +6,9 @@
 //! parallelism and LLP throttled to degree 1) fires exactly the
 //! utilization-collapse alarm — once, latched.
 
-use cellsim::event::{EventKind, EventRecord, RunLog, SchedulerTag};
 use cellsim::machine::{run, SimConfig};
 use mgps_obs::{replay_health, AlarmKind, HealthConfig, HealthDetector};
+use mgps_runtime::event::{EventKind, EventRecord, RunLog, SchedulerTag};
 use mgps_runtime::metrics::{hist_bucket, Counter, HistKind, SnapshotDelta, HIST_BUCKETS};
 use mgps_runtime::policy::SchedulerKind;
 
@@ -49,6 +49,7 @@ fn starved_gate_fixture(low_windows: usize) -> RunLog {
             at_ns: (i as u64 + 1) * 1_000_000,
             kind: EventKind::DegreeDecision {
                 degree: 1,
+                u: None,
                 waiting: 8,
                 n_spes: 8,
                 window: 8,

@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod alignment;
-pub mod analysis;
 pub mod bootstrap;
 pub mod dna;
 pub mod io;
@@ -43,7 +42,6 @@ pub mod tree;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::alignment::{Alignment, AlignmentError, PatternAlignment};
-    pub use crate::analysis::{run_analysis, run_bootstrap, run_inference, AnalysisResult};
     pub use crate::bootstrap::{bootstrap_replicate, bootstrap_weights, support_values};
     pub use crate::dna::{StateMask, STATES};
     pub use crate::io::{parse_newick, NewickError};
@@ -57,6 +55,5 @@ pub use crate::special::discrete_gamma_rates;
         hill_climb, hill_climb_with, spr_hill_climb, spr_hill_climb_with, ScoringEngine,
         SearchConfig, SearchResult,
     };
-    pub use crate::spr::SprMove;
 pub use crate::tree::{EdgeId, NniMove, Tree};
 }

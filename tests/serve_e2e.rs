@@ -11,9 +11,9 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use cellsim::event::{EventKind, RunLog};
 use mgps_analysis::{check_run_with, CheckMode};
 use mgps_obs::{parse_prometheus, validate_families};
+use mgps_runtime::event::{EventKind, RunLog};
 use multigrain::serve::http_get;
 
 fn bin() -> PathBuf {

@@ -92,11 +92,18 @@ mod tests {
         assert!(!report.coverage.rows.is_empty(), "EventKind variants must parse");
     }
 
+    include!("../../crates/lint/fixtures/base_tree.rs");
+
     #[test]
     fn forbidden_pattern_is_detected_in_a_synthetic_tree() {
         let dir = std::env::temp_dir().join(format!("xtask-lint-{}", std::process::id()));
+        // Plant on the clean base tree, so the one finding is the planted one.
+        for (rel, src) in BASE_TREE {
+            let p = dir.join(rel);
+            std::fs::create_dir_all(p.parent().unwrap()).unwrap();
+            std::fs::write(p, src).unwrap();
+        }
         let sim = dir.join("crates/des/src");
-        std::fs::create_dir_all(&sim).unwrap();
         std::fs::write(sim.join("bad.rs"), "fn f() { let t = Instant::now(); }\n").unwrap();
         let report = mgps_lint::audit(&dir);
         std::fs::remove_dir_all(&dir).ok();
