@@ -2,7 +2,7 @@
 //!
 //! The same EDTLP workload — 64 sequential off-loads of a ~50 µs spin
 //! loop — runs once with the default inert `FaultPlan` (the fault plane
-//! reduces to one `Option::is_some` check) and once with an armed plan
+//! reduces to two `Option` checks) and once with an armed plan
 //! that can never fire (every armed code path executes: the per-off-load
 //! fault-round decision, lock and all). The `unarmed` row is the quantity
 //! the DESIGN budget bounds at < 1 % of run wall time relative to a build

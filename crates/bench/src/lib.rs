@@ -94,11 +94,11 @@ pub fn native_offload_wall(
 /// that can never fire (a single pin on a task id the workload never
 /// reaches).
 ///
-/// Unarmed, the entire fault plane is one `Option::is_some` check at the
-/// top of `offload_loop` — the quantity the DESIGN budget bounds at < 1 %
-/// and the bench regression gate tracks across commits. Armed-but-quiet
-/// additionally pays one mutex'd fault-round decision per off-load, which
-/// is the marginal bookkeeping cost chaos runs accept.
+/// Unarmed, the entire fault plane is two `Option` checks (no lock) in
+/// `offload_loop`'s attempt loop — the quantity the DESIGN budget bounds
+/// at < 1 % and the bench regression gate tracks across commits.
+/// Armed-but-quiet additionally pays one mutex'd fault-round decision per
+/// off-load, which is the marginal bookkeeping cost chaos runs accept.
 ///
 /// [`FaultPlan`]: mgps_runtime::faults::FaultPlan
 pub fn fault_offload_wall(

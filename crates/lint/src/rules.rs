@@ -103,7 +103,7 @@ pub const CATALOG: &[RuleMeta] = &[
         ],
         why: "unwrap/expect/panic! in the fault-recovery ladder or a serve request handler \
               converts graceful degradation into an outage",
-        exemption_budget: 1,
+        exemption_budget: 0,
         skips_tests: true,
     },
 ];

@@ -45,7 +45,8 @@ pub struct RuntimeConfig {
     pub worker_startup: Duration,
     /// Enable §5.2 dynamic granularity control (PPE fallback for kernels
     /// that fail the off-load profitability test). Re-probe period in
-    /// requests; `None` disables [`ProcessCtx::offload_kernel`].
+    /// requests; `None` makes [`ProcessCtx::offload_kernel`] a plain
+    /// [`ProcessCtx::offload_loop`].
     pub granularity_retry: Option<u64>,
     /// Seeded chaos plan (inert by default). When armed, off-load attempts
     /// can be killed deterministically; the runtime recovers by bounded
@@ -83,14 +84,14 @@ impl RuntimeConfig {
 }
 
 enum DegreePolicy {
-    /// Static degree; the value is kept for introspection/debugging.
-    #[allow(dead_code)]
-    Fixed(usize),
+    /// Static degree: `current_degree` keeps its initial value.
+    Fixed,
     Adaptive(Mutex<MgpsScheduler>),
 }
 
-/// Mutable bookkeeping of the armed fault plane (absent on inert plans, so
-/// the unfaulted hot path pays a single `Option` check per off-load).
+/// Mutable bookkeeping of the armed fault plane. Absent on inert plans:
+/// `fault_round` and `fault_success` then take their `None` arms, so an
+/// unfaulted off-load pays two `Option` checks and takes no lock.
 struct FaultState {
     /// Consecutive faults charged to each SPE; reset on success.
     consec: Vec<u32>,
@@ -161,14 +162,14 @@ impl MgpsRuntime {
         ));
         let runner = TeamRunner::new(Arc::clone(&pool), config.worker_startup);
         let (gate_mode, degree_policy, initial_degree) = match config.scheduler {
-            SchedulerKind::Edtlp => (GateMode::YieldOnOffload, DegreePolicy::Fixed(1), 1),
-            SchedulerKind::LinuxLike => (GateMode::HoldDuringOffload, DegreePolicy::Fixed(1), 1),
+            SchedulerKind::Edtlp => (GateMode::YieldOnOffload, DegreePolicy::Fixed, 1),
+            SchedulerKind::LinuxLike => (GateMode::HoldDuringOffload, DegreePolicy::Fixed, 1),
             SchedulerKind::StaticHybrid { spes_per_loop } => {
                 assert!(
                     spes_per_loop >= 1 && spes_per_loop <= config.n_spes,
                     "spes_per_loop out of range"
                 );
-                (GateMode::YieldOnOffload, DegreePolicy::Fixed(spes_per_loop), spes_per_loop)
+                (GateMode::YieldOnOffload, DegreePolicy::Fixed, spes_per_loop)
             }
             SchedulerKind::Mgps => (
                 GateMode::YieldOnOffload,
@@ -274,7 +275,7 @@ impl MgpsRuntime {
                 let s = sched.lock();
                 Some((s.evaluations(), s.activations(), s.deactivations()))
             }
-            DegreePolicy::Fixed(_) => None,
+            DegreePolicy::Fixed => None,
         }
     }
 
@@ -317,12 +318,10 @@ impl MgpsRuntime {
     fn fault_round(&self, task: TaskId, attempt: u32, trace: Option<&TraceHandle>) -> FaultRound {
         let plan = &self.config.faults;
         let Some(fault_state) = self.fault_state.as_ref() else {
-            // Armed plan without state should be unreachable (state is
-            // built whenever the plan arms); degrade to an unfaulted run
-            // rather than bringing the recovery ladder down with a panic.
-            let lead = task.0 as usize % self.config.n_spes.max(1);
-            let degree = self.current_degree().max(1);
-            return FaultRound::Run { lead, degree };
+            // Inert plan, the normal path: nothing can fault, so every
+            // attempt runs at the current degree. `lead` is only booked by
+            // `fault_success`, which has nothing to book either.
+            return FaultRound::Run { lead: 0, degree: self.current_degree() };
         };
         let mut st = fault_state.lock();
         let healthy: Vec<usize> =
@@ -387,7 +386,7 @@ impl MgpsRuntime {
     /// Book a successful off-load attempt with the fault plane.
     fn fault_success(&self, lead: usize, trace: Option<&TraceHandle>) {
         let Some(fault_state) = self.fault_state.as_ref() else {
-            return; // nothing to book against — see fault_round
+            return; // inert plan: nothing to book against
         };
         let mut st = fault_state.lock();
         st.ticks += 1;
@@ -492,6 +491,11 @@ impl ProcessCtx<'_> {
     /// completes. The runtime picks the loop degree (1 = run whole on one
     /// SPE) and applies the PPE-context discipline while waiting.
     ///
+    /// With a fault plan armed, every attempt is put to the plan first;
+    /// faulted attempts retry with the declared backoff, and exhausted
+    /// tasks run the kernel's PPE copy on this thread (or surface
+    /// [`OffloadError::Unrecovered`] if the policy forbids the fallback).
+    ///
     /// # Errors
     /// Propagates [`OffloadError::TaskPanicked`] if the kernel panicked.
     pub fn offload_loop<B: LoopBody>(
@@ -500,42 +504,6 @@ impl ProcessCtx<'_> {
         body: Arc<B>,
     ) -> Result<B::Acc, OffloadError> {
         let rt = self.rt;
-        if rt.fault_state.is_some() {
-            return self.offload_loop_armed(site, body);
-        }
-        let task = TaskId(rt.next_task.fetch_add(1, Ordering::Relaxed));
-        let started_ns = rt.ns();
-        rt.record_offload(task, started_ns);
-        rt.metrics.incr(Counter::Offloads);
-        if let Some(t) = &self.trace {
-            t.record(EventKind::Offload { proc: self.proc, task: task.0 });
-        }
-        rt.inflight.fetch_add(1, Ordering::Relaxed);
-        let degree = rt.current_degree();
-        let proc = self.proc;
-        let trace = self.trace.as_ref();
-        let result = self.token.offload_traced(trace.map(|t| (t, proc)), || {
-            let tt = trace.map(|handle| TraceTask { handle, proc, task: task.0 });
-            rt.runner.parallel_reduce_traced(site, degree, body, tt)
-        });
-        rt.inflight.fetch_sub(1, Ordering::Relaxed);
-        rt.metrics.observe(HistKind::TaskDurNs, rt.ns().saturating_sub(started_ns));
-        rt.record_departure(task, started_ns, trace);
-        result
-    }
-
-    /// [`Self::offload_loop`] with the fault plane armed: every attempt is
-    /// put to the plan first; faulted attempts retry with the declared
-    /// backoff, and exhausted tasks run the kernel's PPE copy on this
-    /// thread (or surface [`OffloadError::Unrecovered`] if the policy
-    /// forbids the fallback).
-    fn offload_loop_armed<B: LoopBody>(
-        &mut self,
-        site: LoopSite,
-        body: Arc<B>,
-    ) -> Result<B::Acc, OffloadError> {
-        let rt = self.rt;
-        let plan = rt.config.faults;
         let task = TaskId(rt.next_task.fetch_add(1, Ordering::Relaxed));
         let started_ns = rt.ns();
         rt.record_offload(task, started_ns);
@@ -551,9 +519,8 @@ impl ProcessCtx<'_> {
             match rt.fault_round(task, attempt, trace) {
                 FaultRound::Run { lead, degree } => {
                     let tt = trace.map(|handle| TraceTask { handle, proc, task: task.0 });
-                    let attempt_body = Arc::clone(&body);
                     let r = self.token.offload_traced(trace.map(|t| (t, proc)), || {
-                        rt.runner.parallel_reduce_traced(site, degree, attempt_body, tt)
+                        rt.runner.parallel_reduce_traced(site, degree, body, tt)
                     });
                     rt.fault_success(lead, trace);
                     break r;
@@ -563,19 +530,11 @@ impl ProcessCtx<'_> {
                     std::thread::sleep(Duration::from_nanos(backoff_ns));
                 }
                 FaultRound::Exhausted { attempts } => {
-                    if !plan.policy.ppe_fallback {
+                    if !rt.config.faults.policy.ppe_fallback {
                         break Err(OffloadError::Unrecovered);
                     }
-                    // Terminal degradation: the kernel's PPE copy, on the
-                    // calling thread, while it holds its context (the
-                    // sentinel SPE id routes dual-version kernels).
-                    let scratch = self.ppe_scratch.get_or_insert_with(|| {
-                        Box::new(super::context::SpeContext::new(
-                            crate::policy::SpeId(usize::MAX),
-                            Duration::ZERO,
-                        ))
-                    });
-                    let out = body.run_chunk(0..body.len(), scratch);
+                    // Terminal degradation: the kernel's PPE copy.
+                    let (out, _) = self.run_on_ppe(&*body);
                     rt.metrics.incr(Counter::PpeFallbacks);
                     if let Some(t) = &self.trace {
                         t.record(EventKind::PpeFallback { proc, task: task.0, attempts });
@@ -590,24 +549,20 @@ impl ProcessCtx<'_> {
         result
     }
 
-    /// [`Self::offload_kernel`] when the runtime has granularity control,
-    /// [`Self::offload_loop`] otherwise — so a host application can apply
-    /// the §5.2 profitability test wherever the runtime is configured for
-    /// it without committing to either API at the call site.
-    ///
-    /// # Errors
-    /// Propagates [`OffloadError::TaskPanicked`] if the kernel panicked.
-    pub fn offload_adaptive<B: LoopBody>(
-        &mut self,
-        site: LoopSite,
-        kind: KernelKind,
-        body: Arc<B>,
-    ) -> Result<B::Acc, OffloadError> {
-        if self.rt.granularity.is_some() {
-            self.offload_kernel(site, kind, body)
-        } else {
-            self.offload_loop(site, body)
-        }
+    /// Run `body`'s PPE version whole on the calling thread, holding its
+    /// context (no SPE, no team); the sentinel SPE id lets dual-version
+    /// kernels pick theirs. Returns the result and the kernel's run time in
+    /// ns, not counting the one-time creation of the scratch context.
+    fn run_on_ppe<B: LoopBody>(&mut self, body: &B) -> (B::Acc, u64) {
+        let scratch = self.ppe_scratch.get_or_insert_with(|| {
+            Box::new(super::context::SpeContext::new(
+                crate::policy::SpeId(usize::MAX),
+                Duration::ZERO,
+            ))
+        });
+        let start = Instant::now();
+        let out = body.run_chunk(0..body.len(), scratch);
+        (out, start.elapsed().as_nanos() as u64)
     }
 
     /// Off-load a kernel of the named `kind` under dynamic granularity
@@ -617,14 +572,12 @@ impl ProcessCtx<'_> {
     /// they run on the calling thread while it holds its context, exactly
     /// like the paper's PPE fallback copies of each function.
     ///
-    /// Requires the runtime to have been built with
-    /// [`RuntimeConfig::with_granularity_control`].
+    /// On a runtime built without
+    /// [`RuntimeConfig::with_granularity_control`] this is
+    /// [`Self::offload_loop`].
     ///
     /// # Errors
     /// Propagates [`OffloadError::TaskPanicked`] if the kernel panicked.
-    ///
-    /// # Panics
-    /// Panics if granularity control is not enabled.
     pub fn offload_kernel<B: LoopBody>(
         &mut self,
         site: LoopSite,
@@ -632,11 +585,9 @@ impl ProcessCtx<'_> {
         body: Arc<B>,
     ) -> Result<B::Acc, OffloadError> {
         let rt = self.rt;
-        let controller = rt
-            .granularity
-            .as_ref()
-            // xtask-allow: panic-path — documented `# Panics` API precondition, pinned by a should_panic test
-            .expect("granularity control not enabled on this runtime");
+        let Some(controller) = rt.granularity.as_ref() else {
+            return self.offload_loop(site, body);
+        };
         let (decision, was_throttled, now_throttled) = {
             let mut c = controller.lock();
             let was = c.is_throttled(kind);
@@ -673,18 +624,8 @@ impl ProcessCtx<'_> {
                         reprobe: false,
                     });
                 }
-                // The PPE version: run on the calling thread, holding the
-                // context (no SPE, no team). The sentinel SPE id lets
-                // kernels with distinct PPE/SPE code paths pick theirs.
-                let scratch = self.ppe_scratch.get_or_insert_with(|| {
-                    Box::new(super::context::SpeContext::new(
-                        crate::policy::SpeId(usize::MAX),
-                        Duration::ZERO,
-                    ))
-                });
-                let start = Instant::now();
-                let out = body.run_chunk(0..body.len(), scratch);
-                controller.lock().record_ppe(kind, start.elapsed().as_nanos() as u64);
+                let (out, ppe_ns) = self.run_on_ppe(&*body);
+                controller.lock().record_ppe(kind, ppe_ns);
                 Ok(out)
             }
         }
@@ -798,22 +739,64 @@ mod tests {
         );
     }
 
+    /// A task that departs only once all `parties` tasks of its round are
+    /// in flight, or panics after 10 s. A worker's next task cannot arrive
+    /// before its current one departs, so arrival `a` is in round
+    /// `a / parties`.
+    struct InFlightTogether {
+        n: usize,
+        parties: usize,
+        arrivals: Arc<(std::sync::Mutex<usize>, std::sync::Condvar)>,
+    }
+
+    impl LoopBody for InFlightTogether {
+        type Acc = f64;
+        fn len(&self) -> usize {
+            self.n
+        }
+        fn identity(&self) -> f64 {
+            0.0
+        }
+        fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> f64 {
+            let (count, all_in) = &*self.arrivals;
+            let mut arrived = count.lock().unwrap();
+            *arrived += 1;
+            let round_end = arrived.div_ceil(self.parties) * self.parties;
+            all_in.notify_all();
+            let (arrived, wait) = all_in
+                .wait_timeout_while(arrived, Duration::from_secs(10), |a| *a < round_end)
+                .unwrap();
+            assert!(!wait.timed_out(), "{} of {round_end} tasks ever in flight", *arrived);
+            range.map(|i| i as f64).sum()
+        }
+        fn merge(&self, a: f64, b: f64) -> f64 {
+            a + b
+        }
+    }
+
     #[test]
     fn mgps_stays_tlp_under_high_task_parallelism() {
         let mut cfg = RuntimeConfig::cell(SchedulerKind::Mgps);
         cfg.switch_cost = Duration::ZERO;
         let rt = MgpsRuntime::new(cfg);
-        // 8 workers saturate the SPEs with task parallelism. Tasks must be
-        // long enough (~1 ms) that offloads from the other workers land
-        // inside each departing task's execution window, making U ≈ 8.
+        // 8 workers saturate the 8 SPEs with task parallelism: each
+        // worker's r-th task waits on its SPE until all 8 r-th tasks are in
+        // flight. A worker departs holding one of the 2 PPE contexts and
+        // releases it only by off-loading its next task, so when a round's
+        // last task departs (the window-closing completion) at least 6
+        // next-round off-loads are in its window: U >= 6 > 8/2. A regression
+        // that widens the loop degree cannot fit 8 tasks on the SPEs and
+        // fails the bounded wait instead of hanging.
+        let arrivals = Arc::default();
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                let rt = &rt;
+                let (rt, arrivals) = (&rt, &arrivals);
                 scope.spawn(move || {
                     let mut ctx = rt.enter_process();
                     for _ in 0..16 {
-                        let body = Arc::new(SpinSum { n: 100, spin: Duration::from_micros(10) });
-                        ctx.offload_loop(LoopSite(3), body).unwrap();
+                        let arrivals = Arc::clone(arrivals);
+                        let body = Arc::new(InFlightTogether { n: 100, parties: 8, arrivals });
+                        assert_eq!(ctx.offload_loop(LoopSite(3), body).unwrap(), expected(100));
                     }
                 });
             }
@@ -895,15 +878,6 @@ mod tests {
             !rt.is_throttled(KernelKind::NewView),
             "kernels whose SPE version wins must stay off-loaded"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "granularity control not enabled")]
-    fn offload_kernel_requires_opt_in() {
-        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
-        let mut ctx = rt.enter_process();
-        let body = Arc::new(SpinSum { n: 1, spin: Duration::ZERO });
-        let _ = ctx.offload_kernel(LoopSite(11), KernelKind::Evaluate, body);
     }
 
     #[test]

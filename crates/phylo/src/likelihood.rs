@@ -23,10 +23,7 @@ use std::ops::Range;
 
 use crate::alignment::PatternAlignment;
 use crate::dna::STATES;
-use crate::lanes::{DefaultPath, KernelPath};
-use crate::model::SubstModel;
-#[cfg(test)]
-use crate::model::Matrix;
+use crate::model::{Matrix, SubstModel};
 use crate::tree::{EdgeId, Tree};
 
 /// Likelihood values below this threshold trigger rescaling (RAxML's
@@ -53,22 +50,98 @@ pub fn clamp_branch(t: f64) -> f64 {
     t.clamp(Tree::MIN_BRANCH, MAX_BRANCH)
 }
 
-/// One damped Newton step on a branch length given the log-likelihood
-/// derivatives at `t`. Returns `(next_t, converged)`. Shared by the direct
-/// and the off-loaded `makenewz` implementations so they agree bit-for-bit.
-pub fn newton_branch_step(t: f64, d1: f64, d2: f64) -> (f64, bool) {
-    let step = if d2 < 0.0 {
-        -d1 / d2
-    } else {
-        // Non-concave region: move along the gradient with a small fixed
-        // fraction of the current length.
-        0.25 * t * d1.signum()
-    };
-    // Damp huge steps; Newton far from the optimum can overshoot.
-    let step = step.clamp(-0.5 * t.max(0.01), 2.0 * t.max(0.01));
-    let next = clamp_branch(t + step);
-    let converged = (next - t).abs() < NEWTON_EPS;
-    (next, converged)
+/// The `makenewz` loop: damped Newton–Raphson steps on one branch length
+/// from `t0` until a step moves less than [`NEWTON_EPS`] (at most
+/// [`NEWTON_MAX_ITERS`] steps). `derivatives(t)` returns the first and
+/// second derivatives of the log-likelihood at `t`. Shared by the direct
+/// and the off-loaded `makenewz` so they agree bit-for-bit.
+pub fn newton_branch(t0: f64, mut derivatives: impl FnMut(f64) -> (f64, f64)) -> f64 {
+    let mut t = clamp_branch(t0);
+    for _ in 0..NEWTON_MAX_ITERS {
+        let (d1, d2) = derivatives(t);
+        let step = if d2 < 0.0 {
+            -d1 / d2
+        } else {
+            // Non-concave region: move along the gradient with a small
+            // fixed fraction of the current length.
+            0.25 * t * d1.signum()
+        };
+        // Damp huge steps; Newton far from the optimum can overshoot.
+        let step = step.clamp(-0.5 * t.max(0.01), 2.0 * t.max(0.01));
+        let next = clamp_branch(t + step);
+        let converged = (next - t).abs() < NEWTON_EPS;
+        t = next;
+        if converged {
+            break;
+        }
+    }
+    t
+}
+
+/// Golden-section maximization of a unimodal `f` over `[lo, hi]`: at most
+/// `max_iters` narrowing steps, stopping early once `done(lo, hi)`.
+/// Returns the midpoint of the final bracket.
+pub(crate) fn golden_section_max(
+    mut lo: f64,
+    mut hi: f64,
+    max_iters: usize,
+    done: impl Fn(f64, f64) -> bool,
+    mut f: impl FnMut(f64) -> f64,
+) -> f64 {
+    const INVPHI: f64 = 0.618_033_988_749_894_9;
+    let mut x1 = hi - INVPHI * (hi - lo);
+    let mut x2 = lo + INVPHI * (hi - lo);
+    let mut f1 = f(x1);
+    let mut f2 = f(x2);
+    for _ in 0..max_iters {
+        if done(lo, hi) {
+            break;
+        }
+        if f1 < f2 {
+            lo = x1;
+            x1 = x2;
+            f1 = f2;
+            x2 = lo + INVPHI * (hi - lo);
+            f2 = f(x2);
+        } else {
+            hi = x2;
+            x2 = x1;
+            f2 = f1;
+            x1 = hi - INVPHI * (hi - lo);
+            f1 = f(x1);
+        }
+    }
+    0.5 * (lo + hi)
+}
+
+/// Derivative-free optimization of one branch length from `t0`: the
+/// maximum of `lnl(t)` over `[MIN_BRANCH, min(MAX_BRANCH, max(32·t0, 1))]`
+/// by golden section.
+pub(crate) fn golden_branch(t0: f64, lnl: impl FnMut(f64) -> f64) -> f64 {
+    let hi = MAX_BRANCH.min((t0 * 32.0).max(1.0));
+    golden_section_max(Tree::MIN_BRANCH, hi, 64, |lo, hi| (hi - lo) < 1e-7 * hi.max(1e-3), lnl)
+}
+
+/// The branch-length convergence loop every scoring engine shares: starting
+/// from log-likelihood `lnl`, run optimization passes until one improves
+/// the log-likelihood by less than `epsilon` (at most `max_passes`).
+/// `pass` optimizes every branch once and returns the log-likelihood after
+/// it. Returns the final log-likelihood.
+pub fn converge_branches(
+    mut lnl: f64,
+    max_passes: usize,
+    epsilon: f64,
+    mut pass: impl FnMut() -> f64,
+) -> f64 {
+    let mut last = f64::NEG_INFINITY;
+    for _ in 0..max_passes {
+        if (lnl - last).abs() < epsilon {
+            break;
+        }
+        last = lnl;
+        lnl = pass();
+    }
+    lnl
 }
 
 /// A conditional likelihood vector for every site pattern, plus per-pattern
@@ -110,11 +183,6 @@ impl Clv {
     pub fn from_raw(vals: Vec<f64>, scale: Vec<u32>) -> Clv {
         assert_eq!(vals.len(), STATES * scale.len(), "CLV storage size mismatch");
         Clv { vals, scale }
-    }
-
-    /// The raw storage: `(values, scaling exponents)`.
-    pub fn as_raw(&self) -> (&[f64], &[u32]) {
-        (&self.vals, &self.scale)
     }
 
     /// Overwrite patterns `[start, start + part.n_patterns())` with `part`,
@@ -206,12 +274,41 @@ impl ClvArena {
     }
 }
 
-/// View a pattern slice as the fixed-width lane array the kernel paths
-/// operate on.
+/// View a pattern slice as the fixed-width array [`matvec`] operates on.
 #[inline(always)]
 fn four(s: &[f64]) -> &[f64; 4] {
     const { assert!(STATES == 4) };
     s.try_into().expect("pattern slice is 4 wide")
+}
+
+/// `P · v` for a 4-state model, `[Σ_y p[x][y]·v[y]; x in 0..4]`: the one
+/// operation all three kernels spend their time in. The row-major
+/// accumulation order is frozen; checker verdicts and replay digests
+/// depend on it.
+#[inline(always)]
+fn matvec(p: &Matrix, v: &[f64; 4]) -> [f64; 4] {
+    let mut out = [0.0; 4];
+    for x in 0..4 {
+        let mut s = 0.0;
+        for y in 0..4 {
+            s += p[x][y] * v[y];
+        }
+        out[x] = s;
+    }
+    out
+}
+
+/// The linear likelihood term of one pattern at an edge with transition
+/// matrix `p`, `Σ_x π_x · u_x · (P·v)_x`: the inner loop of Figure 3.
+#[inline(always)]
+fn site_term(p: &Matrix, pi: &[f64; STATES], u: &[f64], v: &[f64]) -> f64 {
+    let lu = four(u);
+    let inner = matvec(p, four(v));
+    let mut term = 0.0;
+    for x in 0..STATES {
+        term += pi[x] * lu[x] * inner[x];
+    }
+    term
 }
 
 /// The likelihood engine: a substitution model bound to a pattern-compressed
@@ -234,12 +331,9 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
 
     /// The tip CLV of `taxon`: indicator vectors from its state masks.
     pub fn tip_clv(&self, taxon: usize) -> Clv {
-        let n = self.data.n_patterns();
-        let mut vals = Vec::with_capacity(n * STATES);
-        for p in 0..n {
-            vals.extend_from_slice(&self.data.mask(taxon, p).tip_clv());
-        }
-        Clv { vals, scale: vec![0; n] }
+        let mut out = self.empty_clv();
+        self.tip_clv_into(taxon, &mut out);
+        out
     }
 
     /// Fill `out` (any contents) with the tip CLV of `taxon` — the
@@ -260,29 +354,14 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// Felsenstein pruning step over all patterns: the parent CLV from two
     /// children across branches `t_left` and `t_right`.
     pub fn newview(&self, left: &Clv, t_left: f64, right: &Clv, t_right: f64) -> Clv {
-        let n = self.data.n_patterns();
-        let mut out = Clv { vals: vec![0.0; n * STATES], scale: vec![0; n] };
-        self.newview_range(left, t_left, right, t_right, 0..n, &mut out);
+        let mut out = self.empty_clv();
+        self.newview_range(left, t_left, right, t_right, 0..out.n_patterns(), &mut out);
         out
     }
 
     /// A newly computed CLV covering only `range` (an off-loadable chunk;
-    /// splice the pieces with [`Clv::splice`] / [`Clv::from_raw`]).
-    pub fn newview_chunk(
-        &self,
-        left: &Clv,
-        t_left: f64,
-        right: &Clv,
-        t_right: f64,
-        range: Range<usize>,
-    ) -> Clv {
-        let mut out = Clv { vals: vec![0.0; range.len() * STATES], scale: vec![0; range.len()] };
-        self.newview_range_into(left, t_left, right, t_right, range, &mut out);
-        out
-    }
-
-    /// [`Self::newview_chunk`] drawing its output buffer from `arena` —
-    /// the allocation-free form the off-loaded hot path uses.
+    /// splice the pieces with [`Clv::splice`]), its buffer drawn from
+    /// `arena`.
     pub fn newview_chunk_in(
         &self,
         left: &Clv,
@@ -312,25 +391,10 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         range: Range<usize>,
         out: &mut Clv,
     ) {
-        self.newview_range_with::<DefaultPath>(left, t_left, right, t_right, range, out);
-    }
-
-    /// [`Self::newview_range`] through an explicit kernel path (the
-    /// feature-matrix tests and benches pin [`crate::lanes::Scalar`] vs
-    /// [`crate::lanes::Simd4`] against each other here).
-    pub fn newview_range_with<K: KernelPath>(
-        &self,
-        left: &Clv,
-        t_left: f64,
-        right: &Clv,
-        t_right: f64,
-        range: Range<usize>,
-        out: &mut Clv,
-    ) {
         let n = self.data.n_patterns();
         assert_eq!(out.n_patterns(), n, "output CLV size mismatch");
         let (head, tail) = (range.start * STATES, range.end * STATES);
-        self.newview_body::<K>(
+        self.newview_body(
             left,
             t_left,
             right,
@@ -357,28 +421,15 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         range: Range<usize>,
         out: &mut Clv,
     ) {
-        self.newview_range_into_with::<DefaultPath>(left, t_left, right, t_right, range, out);
-    }
-
-    /// [`Self::newview_range_into`] through an explicit kernel path.
-    pub fn newview_range_into_with<K: KernelPath>(
-        &self,
-        left: &Clv,
-        t_left: f64,
-        right: &Clv,
-        t_right: f64,
-        range: Range<usize>,
-        out: &mut Clv,
-    ) {
         assert_eq!(out.n_patterns(), range.len(), "chunk output CLV size mismatch");
         let Clv { vals, scale } = out;
-        self.newview_body::<K>(left, t_left, right, t_right, range, vals, scale);
+        self.newview_body(left, t_left, right, t_right, range, vals, scale);
     }
 
-    /// The one generic chunk body both kernel paths share: patterns
-    /// `range` of the pruning step, written to range-sized slices.
+    /// The one chunk body both range forms share: patterns `range` of the
+    /// pruning step, written to range-sized slices.
     #[allow(clippy::too_many_arguments)] // the pruning step's full operand list
-    fn newview_body<K: KernelPath>(
+    fn newview_body(
         &self,
         left: &Clv,
         t_left: f64,
@@ -394,13 +445,13 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         assert!(range.end <= n, "chunk range {range:?} outside {n} patterns");
         assert_eq!(out_vals.len(), range.len() * STATES, "chunk vals size mismatch");
         assert_eq!(out_scale.len(), range.len(), "chunk scale size mismatch");
-        let pl = K::prepare(&self.model.prob_matrix(t_left));
-        let pr = K::prepare(&self.model.prob_matrix(t_right));
+        let pl = self.model.prob_matrix(t_left);
+        let pr = self.model.prob_matrix(t_right);
         for (j, i) in range.enumerate() {
             let l = four(left.pattern(i));
             let r = four(right.pattern(i));
-            let suml = K::matvec(&pl, l);
-            let sumr = K::matvec(&pr, r);
+            let suml = matvec(&pl, l);
+            let sumr = matvec(&pr, r);
             let o = &mut out_vals[j * STATES..(j + 1) * STATES];
             let mut min_ok = false;
             for x in 0..STATES {
@@ -440,29 +491,13 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// pattern space reproduces [`Self::evaluate`] exactly (modulo FP
     /// reassociation) — this is the loop the paper parallelizes first.
     pub fn evaluate_range(&self, u: &Clv, v: &Clv, t: f64, range: Range<usize>) -> f64 {
-        self.evaluate_range_with::<DefaultPath>(u, v, t, range)
-    }
-
-    /// [`Self::evaluate_range`] through an explicit kernel path.
-    pub fn evaluate_range_with<K: KernelPath>(
-        &self,
-        u: &Clv,
-        v: &Clv,
-        t: f64,
-        range: Range<usize>,
-    ) -> f64 {
-        let p = K::prepare(&self.model.prob_matrix(t));
+        let p = self.model.prob_matrix(t);
         let pi = self.model.base_freqs();
         let ln_min = log_scale();
         let w = self.data.weights();
         let mut sum = 0.0;
         for i in range {
-            let lu = four(u.pattern(i));
-            let inner = K::matvec(&p, four(v.pattern(i)));
-            let mut term = 0.0;
-            for x in 0..STATES {
-                term += pi[x] * lu[x] * inner[x];
-            }
+            let term = site_term(&p, &pi, u.pattern(i), v.pattern(i));
             // term = log(term) + exp * log(minlikelihood); sum += w * term
             let ln = term.max(f64::MIN_POSITIVE).ln()
                 + (u.scale[i] + v.scale[i]) as f64 * ln_min;
@@ -476,19 +511,11 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// Mixture models combine these across rate categories before taking
     /// logs.
     pub fn site_terms(&self, u: &Clv, v: &Clv, t: f64) -> Vec<(f64, u32)> {
-        let p = DefaultPath::prepare(&self.model.prob_matrix(t));
+        let p = self.model.prob_matrix(t);
         let pi = self.model.base_freqs();
-        let mut out = Vec::with_capacity(self.data.n_patterns());
-        for i in 0..self.data.n_patterns() {
-            let lu = four(u.pattern(i));
-            let inner = DefaultPath::matvec(&p, four(v.pattern(i)));
-            let mut term = 0.0;
-            for x in 0..STATES {
-                term += pi[x] * lu[x] * inner[x];
-            }
-            out.push((term, u.scale_of(i) + v.scale_of(i)));
-        }
-        out
+        (0..self.data.n_patterns())
+            .map(|i| (site_term(&p, &pi, u.pattern(i), v.pattern(i)), u.scale[i] + v.scale[i]))
+            .collect()
     }
 
     /// First and second derivatives of the log-likelihood with respect to
@@ -506,20 +533,9 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         t: f64,
         range: Range<usize>,
     ) -> (f64, f64) {
-        self.lnl_derivatives_range_with::<DefaultPath>(u, v, t, range)
-    }
-
-    /// [`Self::lnl_derivatives_range`] through an explicit kernel path.
-    pub fn lnl_derivatives_range_with<K: KernelPath>(
-        &self,
-        u: &Clv,
-        v: &Clv,
-        t: f64,
-        range: Range<usize>,
-    ) -> (f64, f64) {
-        let p = K::prepare(&self.model.prob_matrix(t));
-        let d1m = K::prepare(&self.model.d1_matrix(t));
-        let d2m = K::prepare(&self.model.d2_matrix(t));
+        let p = self.model.prob_matrix(t);
+        let d1m = self.model.d1_matrix(t);
+        let d2m = self.model.d2_matrix(t);
         let pi = self.model.base_freqs();
         let w = self.data.weights();
         let mut d1 = 0.0;
@@ -527,9 +543,9 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         for i in range {
             let lu = four(u.pattern(i));
             let lv = four(v.pattern(i));
-            let s = K::matvec(&p, lv);
-            let ds = K::matvec(&d1m, lv);
-            let dds = K::matvec(&d2m, lv);
+            let s = matvec(&p, lv);
+            let ds = matvec(&d1m, lv);
+            let dds = matvec(&d2m, lv);
             let (mut l, mut dl, mut ddl) = (0.0, 0.0, 0.0);
             for x in 0..STATES {
                 let f = pi[x] * lu[x];
@@ -551,16 +567,7 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// in `[MIN_BRANCH, MAX_BRANCH]` maximizing the log-likelihood of the
     /// edge between `u` and `v`, starting from `t0`.
     pub fn makenewz(&self, u: &Clv, v: &Clv, t0: f64) -> f64 {
-        let mut t = clamp_branch(t0);
-        for _ in 0..NEWTON_MAX_ITERS {
-            let (d1, d2) = self.lnl_derivatives(u, v, t);
-            let (next, converged) = newton_branch_step(t, d1, d2);
-            t = next;
-            if converged {
-                break;
-            }
-        }
-        t
+        newton_branch(t0, |t| self.lnl_derivatives(u, v, t))
     }
 
     /// Directional CLV of `node` seen from `parent` (the full Felsenstein
@@ -616,16 +623,8 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// than `epsilon` between passes (at most `max_passes`). Returns the
     /// final log-likelihood.
     pub fn optimize_branches(&self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
-        let mut last = f64::NEG_INFINITY;
-        let mut lnl = self.log_likelihood(tree);
-        for _ in 0..max_passes {
-            if (lnl - last).abs() < epsilon {
-                break;
-            }
-            last = lnl;
-            lnl = self.optimize_branches_pass(tree);
-        }
-        lnl
+        let lnl = self.log_likelihood(tree);
+        converge_branches(lnl, max_passes, epsilon, || self.optimize_branches_pass(tree))
     }
 }
 

@@ -17,7 +17,9 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the math in dense kernels
 
 use crate::alignment::PatternAlignment;
-use crate::likelihood::{clamp_branch, log_scale, Clv, LikelihoodEngine, MAX_BRANCH};
+use crate::likelihood::{
+    converge_branches, golden_branch, golden_section_max, log_scale, Clv, LikelihoodEngine,
+};
 use crate::model::{ScaledModel, SubstModel};
 use crate::search::ScoringEngine;
 use crate::special::discrete_gamma_rates;
@@ -106,51 +108,6 @@ impl<'a, M: SubstModel> GammaEngine<'a, M> {
         let vs = self.category_clvs(tree, b, a);
         self.edge_lnl(&us, &vs, tree.length(e))
     }
-
-    /// Golden-section maximization of the mixture likelihood over one
-    /// branch length (derivative-free; the mixture's analytic derivatives
-    /// buy little at 4 categories).
-    fn optimize_edge(&self, us: &[Clv], vs: &[Clv], t0: f64) -> f64 {
-        const INVPHI: f64 = 0.618_033_988_749_894_9;
-        let mut lo = Tree::MIN_BRANCH;
-        let mut hi = MAX_BRANCH.min((t0 * 32.0).max(1.0));
-        let mut x1 = hi - INVPHI * (hi - lo);
-        let mut x2 = lo + INVPHI * (hi - lo);
-        let mut f1 = self.edge_lnl(us, vs, x1);
-        let mut f2 = self.edge_lnl(us, vs, x2);
-        for _ in 0..64 {
-            if (hi - lo) < 1e-7 * hi.max(1e-3) {
-                break;
-            }
-            if f1 < f2 {
-                lo = x1;
-                x1 = x2;
-                f1 = f2;
-                x2 = lo + INVPHI * (hi - lo);
-                f2 = self.edge_lnl(us, vs, x2);
-            } else {
-                hi = x2;
-                x2 = x1;
-                f2 = f1;
-                x1 = hi - INVPHI * (hi - lo);
-                f1 = self.edge_lnl(us, vs, x1);
-            }
-        }
-        clamp_branch(0.5 * (lo + hi))
-    }
-
-    /// One branch-length optimization pass over every edge; returns the
-    /// resulting mixture log-likelihood.
-    pub fn optimize_branches_pass(&self, tree: &mut Tree) -> f64 {
-        for e in tree.edge_ids().collect::<Vec<_>>() {
-            let (a, b) = tree.endpoints(e);
-            let us = self.category_clvs(tree, a, b);
-            let vs = self.category_clvs(tree, b, a);
-            let t = self.optimize_edge(&us, &vs, tree.length(e));
-            tree.set_length(e, t);
-        }
-        self.log_likelihood(tree)
-    }
 }
 
 /// Estimate the Γ shape parameter α by golden-section maximization of the
@@ -168,33 +125,10 @@ pub fn estimate_alpha<M: SubstModel>(
     hi: f64,
 ) -> (f64, f64) {
     assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
-    const INVPHI: f64 = 0.618_033_988_749_894_9;
     let f = |alpha: f64| GammaEngine::new(model, data, alpha, categories).log_likelihood(tree);
     // Search in log-alpha space.
-    let (mut a, mut b) = (lo.ln(), hi.ln());
-    let mut x1 = b - INVPHI * (b - a);
-    let mut x2 = a + INVPHI * (b - a);
-    let mut f1 = f(x1.exp());
-    let mut f2 = f(x2.exp());
-    for _ in 0..40 {
-        if (b - a) < 1e-4 {
-            break;
-        }
-        if f1 < f2 {
-            a = x1;
-            x1 = x2;
-            f1 = f2;
-            x2 = a + INVPHI * (b - a);
-            f2 = f(x2.exp());
-        } else {
-            b = x2;
-            x2 = x1;
-            f2 = f1;
-            x1 = b - INVPHI * (b - a);
-            f1 = f(x1.exp());
-        }
-    }
-    let alpha = (0.5 * (a + b)).exp();
+    let log_alpha = golden_section_max(lo.ln(), hi.ln(), 40, |a, b| (b - a) < 1e-4, |x| f(x.exp()));
+    let alpha = log_alpha.exp();
     (alpha, f(alpha))
 }
 
@@ -204,16 +138,19 @@ impl<M: SubstModel> ScoringEngine for GammaEngine<'_, M> {
     }
 
     fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
-        let mut last = f64::NEG_INFINITY;
-        let mut lnl = self.log_likelihood(tree);
-        for _ in 0..max_passes {
-            if (lnl - last).abs() < epsilon {
-                break;
+        let lnl = self.log_likelihood(tree);
+        converge_branches(lnl, max_passes, epsilon, || {
+            for e in tree.edge_ids().collect::<Vec<_>>() {
+                let (a, b) = tree.endpoints(e);
+                let us = self.category_clvs(tree, a, b);
+                let vs = self.category_clvs(tree, b, a);
+                // The mixture's analytic derivatives buy little at 4
+                // categories; golden section needs none.
+                let t = golden_branch(tree.length(e), |t| self.edge_lnl(&us, &vs, t));
+                tree.set_length(e, t);
             }
-            last = lnl;
-            lnl = self.optimize_branches_pass(tree);
-        }
-        lnl
+            self.log_likelihood(tree)
+        })
     }
 }
 

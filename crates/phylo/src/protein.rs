@@ -11,7 +11,7 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math in dense kernels
 
-use crate::likelihood::{SCALE_MULTIPLIER, SCALE_THRESHOLD};
+use crate::likelihood::{converge_branches, golden_branch, SCALE_MULTIPLIER, SCALE_THRESHOLD};
 use crate::search::ScoringEngine;
 use crate::tree::{EdgeId, Tree};
 
@@ -330,35 +330,6 @@ impl<'a> ProteinEngine<'a> {
         }
         lnl
     }
-
-    /// Golden-section optimization of one branch (derivative-free).
-    fn optimize_edge(&self, u: &AaClv, v: &AaClv, t0: f64) -> f64 {
-        const INVPHI: f64 = 0.618_033_988_749_894_9;
-        let (mut lo, mut hi) = (Tree::MIN_BRANCH, 10.0f64.min((t0 * 32.0).max(1.0)));
-        let mut x1 = hi - INVPHI * (hi - lo);
-        let mut x2 = lo + INVPHI * (hi - lo);
-        let mut f1 = self.evaluate(u, v, x1);
-        let mut f2 = self.evaluate(u, v, x2);
-        for _ in 0..64 {
-            if (hi - lo) < 1e-7 * hi.max(1e-3) {
-                break;
-            }
-            if f1 < f2 {
-                lo = x1;
-                x1 = x2;
-                f1 = f2;
-                x2 = lo + INVPHI * (hi - lo);
-                f2 = self.evaluate(u, v, x2);
-            } else {
-                hi = x2;
-                x2 = x1;
-                f2 = f1;
-                x1 = hi - INVPHI * (hi - lo);
-                f1 = self.evaluate(u, v, x1);
-            }
-        }
-        0.5 * (lo + hi)
-    }
 }
 
 impl ScoringEngine for ProteinEngine<'_> {
@@ -367,23 +338,17 @@ impl ScoringEngine for ProteinEngine<'_> {
     }
 
     fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
-        let mut last = f64::NEG_INFINITY;
-        let mut lnl = self.log_likelihood(tree);
-        for _ in 0..max_passes {
-            if (lnl - last).abs() < epsilon {
-                break;
-            }
-            last = lnl;
+        let lnl = self.log_likelihood(tree);
+        converge_branches(lnl, max_passes, epsilon, || {
             for e in tree.edge_ids().collect::<Vec<_>>() {
                 let (a, b) = tree.endpoints(e);
                 let u = self.clv_toward(tree, a, b);
                 let v = self.clv_toward(tree, b, a);
-                let t = self.optimize_edge(&u, &v, tree.length(e));
+                let t = golden_branch(tree.length(e), |t| self.evaluate(&u, &v, t));
                 tree.set_length(e, t);
             }
-            lnl = self.log_likelihood(tree);
-        }
-        lnl
+            self.log_likelihood(tree)
+        })
     }
 }
 

